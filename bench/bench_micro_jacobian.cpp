@@ -3,7 +3,7 @@
 // RQ4 support: cost of the closed-form parameter Jacobian per layer of
 // the Task-1 conv architecture (the paper's Figure 7(b) shows Jacobians
 // dominating its PyTorch-based pipeline; ours are cheap, which shifts
-// the time budget to the LP - recorded in EXPERIMENTS.md).
+// the time budget to the LP - see the Baseline section of ROADMAP.md).
 //
 //===----------------------------------------------------------------------===//
 

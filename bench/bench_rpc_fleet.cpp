@@ -27,6 +27,7 @@
 
 #include "cache/Fingerprint.h"
 #include "examples/DemoNetworks.h"
+#include "persist/FrameFile.h"
 #include "rpc/RpcClient.h"
 #include "rpc/RpcServer.h"
 #include "serve/RepairService.h"
@@ -142,20 +143,13 @@ Workload makeWorkload() {
   return W;
 }
 
-/// Atomic small-file write (tmp + rename), so a polling reader never
-/// sees a half-written port number.
+/// Atomic small-file write, so a polling reader never sees a
+/// half-written port number.
 bool writeFileAtomic(const fs::path &Path, const std::string &Contents) {
-  fs::path Tmp = Path;
-  Tmp += ".tmp";
-  {
-    std::ofstream Os(Tmp);
-    if (!Os)
-      return false;
-    Os << Contents;
-  }
-  std::error_code Ec;
-  fs::rename(Tmp, Path, Ec);
-  return !Ec;
+  return persist::publishFile(
+             Path.string(),
+             std::vector<std::uint8_t>(Contents.begin(), Contents.end()),
+             /*Replace=*/true) == persist::PublishResult::Published;
 }
 
 // --- Server process ---------------------------------------------------------

@@ -5,7 +5,8 @@
 // Jacobian / LP / other per layer (Figure 7b). The paper's headline
 // trends: later layers repair with less drawdown, and the time budget
 // is dominated by one phase (Jacobians for the paper's PyTorch; the LP
-// for our closed-form Jacobians - noted in EXPERIMENTS.md).
+// for our closed-form Jacobians - see the Baseline section of
+// ROADMAP.md).
 //
 // The per-layer runs go through one RepairEngine, and the same
 // experiment is then repeated as a single kAutoLayer request: the

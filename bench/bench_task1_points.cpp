@@ -280,7 +280,7 @@ int main(int argc, char **argv) {
   }
   // The paper uses 100/200/400/752 points on a 727k-parameter network;
   // our substrate is ~100x smaller, so the sweep is scaled to
-  // 50/100/200 (documented in EXPERIMENTS.md).
+  // 50/100/200 (the sizes of the Baseline section of ROADMAP.md).
   const int Sizes[] = {50, 100, 200};
   std::printf("=== Task 1: Pointwise repair of a conv image classifier "
               "(Tables 1 and 4), %s tier ===\n",
@@ -413,7 +413,9 @@ int main(int argc, char **argv) {
       Json.add("other_seconds", BatchRun.Stats.OtherSeconds);
       Json.add("total_seconds", BatchRun.Stats.TotalSeconds);
       Json.add("points_per_sec",
-               BatchedSeconds > 0.0 ? SpecPoints / BatchedSeconds : 0.0);
+               BatchRun.Stats.TotalSeconds > 0.0
+                   ? SpecPoints / BatchRun.Stats.TotalSeconds
+                   : 0.0);
       Json.add("max_delta_diff", MaxDeltaDiff);
       Json.add("seed_row_checksum", SeedChecksum);
       std::printf("[ablation] %d points: Jacobian phase %.3fs (seed, 1t) / "

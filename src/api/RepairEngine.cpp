@@ -41,6 +41,12 @@ struct prdnn::detail::EngineJob {
     // slot released) having happened by the time its wait returns.
     if (CompletionHook)
       CompletionHook(NewReport);
+    // A resolved job keeps only its report: a handle held past
+    // completion pins no spec or network, and a hook that captures its
+    // own job's handle forms no reference cycle.
+    Request = RepairRequest();
+    CompletionHook = nullptr;
+    Ctx.setCheckpointHook(nullptr);
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       Report = std::move(NewReport);

@@ -2,21 +2,15 @@
 
 #include "persist/ArtifactStore.h"
 
-#include "persist/Codec.h"
+#include "cache/Fingerprint.h"
+#include "persist/FrameFile.h"
 #include "persist/Serialize.h"
 
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 #include <vector>
-
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <unistd.h>
-#endif
 
 namespace fs = std::filesystem;
 
@@ -26,16 +20,6 @@ using namespace prdnn::persist;
 namespace {
 
 constexpr const char *kEntrySuffix = ".art";
-constexpr const char *kTempPrefix = ".tmp-";
-
-char hexDigit(unsigned V) {
-  return static_cast<char>(V < 10 ? '0' + V : 'a' + (V - 10));
-}
-
-void appendHex64(std::string &Out, std::uint64_t V) {
-  for (int Shift = 60; Shift >= 0; Shift -= 4)
-    Out.push_back(hexDigit(static_cast<unsigned>((V >> Shift) & 0xf)));
-}
 
 bool isEntryFile(const fs::path &Path) {
   const std::string Name = Path.filename().string();
@@ -43,17 +27,13 @@ bool isEntryFile(const fs::path &Path) {
          Name.compare(Name.size() - 4, 4, kEntrySuffix) == 0;
 }
 
-bool isTempFile(const fs::path &Path) {
-  const std::string Name = Path.filename().string();
-  return Name.compare(0, 5, kTempPrefix) == 0;
-}
-
-std::uint64_t processId() {
-#ifdef _WIN32
-  return static_cast<std::uint64_t>(_getpid());
-#else
-  return static_cast<std::uint64_t>(::getpid());
-#endif
+/// Every entry's payload starts with its full key (see storeSync), so a
+/// valid frame found under another key's path is rejected, not loaded.
+bool readKeyMatches(ByteReader &R, const CacheKey &Key) {
+  std::uint8_t Kind = 0;
+  Digest128 Digest;
+  return R.u8(Kind) && R.u64(Digest.Hi) && R.u64(Digest.Lo) &&
+         Kind == blobKindOf(Key.Kind) && Digest == Key.Digest;
 }
 
 } // namespace
@@ -77,50 +57,30 @@ ArtifactStore::~ArtifactStore() {
 }
 
 std::string ArtifactStore::entryPath(const CacheKey &Key) const {
-  std::string Name;
-  Name.reserve(64);
-  Name += toString(Key.Kind);
-  Name.push_back('-');
-  appendHex64(Name, Key.Digest.Hi);
-  appendHex64(Name, Key.Digest.Lo);
-  Name += kEntrySuffix;
-
-  std::string Fan1, Fan2;
-  Fan1.push_back(hexDigit(static_cast<unsigned>(Key.Digest.Hi >> 60) & 0xf));
-  Fan1.push_back(hexDigit(static_cast<unsigned>(Key.Digest.Hi >> 56) & 0xf));
-  Fan2.push_back(hexDigit(static_cast<unsigned>(Key.Digest.Hi >> 52) & 0xf));
-  Fan2.push_back(hexDigit(static_cast<unsigned>(Key.Digest.Hi >> 48) & 0xf));
-  return (fs::path(Dir) / Fan1 / Fan2 / Name).string();
+  const std::string Hex = toHex(Key.Digest);
+  return (fs::path(Dir) / Hex.substr(0, 2) / Hex.substr(2, 2) /
+          (toString(Key.Kind) + ("-" + Hex) + kEntrySuffix))
+      .string();
 }
 
 std::shared_ptr<const CacheArtifact>
 ArtifactStore::load(const CacheKey &Key) {
   const std::string Path = entryPath(Key);
-  std::ifstream Is(Path, std::ios::binary | std::ios::ate);
-  if (!Is) {
+  FrameFile File = readFrameFile(Path, blobKindOf(Key.Kind));
+  if (!File.Found) {
     MissCount.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  // One sized read (this is the hot L1-miss path); a short or failed
-  // read falls through to the frame validation, which rejects it.
-  std::streamsize Size = Is.tellg();
-  std::vector<std::uint8_t> Blob(
-      Size > 0 ? static_cast<std::size_t>(Size) : 0);
-  Is.seekg(0);
-  if (!Blob.empty() &&
-      !Is.read(reinterpret_cast<char *>(Blob.data()), Size))
-    Blob.resize(static_cast<std::size_t>(Is.gcount()));
-  Is.close();
 
   auto CorruptSkip = [&]() -> std::shared_ptr<const CacheArtifact> {
-    // Torn write from a crashed process, bit rot, or a foreign format:
-    // drop the entry so the next writer republishes good bytes, and
-    // let the caller recompute - corruption can cost time, never
-    // correctness.
+    // Torn write from a crashed process, bit rot, a foreign format, or
+    // a frame under another key's path: drop the entry so the next
+    // writer republishes good bytes, and let the caller recompute -
+    // corruption can cost time, never correctness.
     CorruptSkipCount.fetch_add(1, std::memory_order_relaxed);
     MissCount.fetch_add(1, std::memory_order_relaxed);
     std::error_code Ec;
-    std::uint64_t Size = Blob.size();
+    std::uint64_t Size = File.Bytes.size();
     if (fs::remove(Path, Ec) && !Ec) {
       // Saturating decrements: counters are approximate across
       // processes.
@@ -133,14 +93,11 @@ ArtifactStore::load(const CacheKey &Key) {
     return nullptr;
   };
 
-  FrameView View;
-  if (unframe(Blob.data(), Blob.size(), View) != CodecError::None)
-    return CorruptSkip();
-  if (View.BlobKind != blobKindOf(Key.Kind))
-    return CorruptSkip();
-  ByteReader R(View.Payload, View.PayloadSize);
+  ByteReader R = File.payload();
   std::shared_ptr<const CacheArtifact> Artifact =
-      deserializeArtifact(Key.Kind, R);
+      File.Error == CodecError::None && readKeyMatches(R, Key)
+          ? deserializeArtifact(Key.Kind, R)
+          : nullptr;
   if (!Artifact)
     return CorruptSkip();
 
@@ -168,21 +125,10 @@ void ArtifactStore::storeAsync(const CacheKey &Key,
 
 void ArtifactStore::storeSync(const CacheKey &Key,
                               const CacheArtifact &Value) {
-  const std::string Path = entryPath(Key);
-  std::error_code Ec;
-  if (fs::exists(Path, Ec)) {
-    // Published already - by an earlier job, a concurrent thread's
-    // rename, or another process on the shared store. A republish still
-    // signals the entry is hot, so refresh its mtime (best effort) the
-    // same way load() does: otherwise an artifact that is recomputed
-    // and re-stored every run but never read back would keep a stale
-    // mtime and be the LRU-by-mtime GC's first victim.
-    fs::last_write_time(Path, fs::file_time_type::clock::now(), Ec);
-    WriteSkipCount.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-
   ByteWriter W;
+  W.u8(blobKindOf(Key.Kind));
+  W.u64(Key.Digest.Hi);
+  W.u64(Key.Digest.Lo);
   serializeArtifact(Value, Key.Kind, W);
   std::vector<std::uint8_t> Blob = frame(blobKindOf(Key.Kind), W.buffer());
   if (Blob.size() > Budget) {
@@ -192,36 +138,19 @@ void ArtifactStore::storeSync(const CacheKey &Key,
     return;
   }
 
-  fs::path Entry(Path);
-  fs::create_directories(Entry.parent_path(), Ec);
-
-  // Unique temp name in the *entry's* directory so the final rename
-  // never crosses a filesystem boundary (atomicity).
-  std::string TempName = kTempPrefix + std::to_string(processId()) + "-" +
-                         std::to_string(NextTempId.fetch_add(
-                             1, std::memory_order_relaxed));
-  fs::path Temp = Entry.parent_path() / TempName;
-  {
-    std::ofstream Os(Temp, std::ios::binary | std::ios::trunc);
-    if (!Os) {
-      WriteSkipCount.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    Os.write(reinterpret_cast<const char *>(Blob.data()),
-             static_cast<std::streamsize>(Blob.size()));
-    if (!Os) {
-      Os.close();
-      fs::remove(Temp, Ec);
-      WriteSkipCount.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+  const std::string Path = entryPath(Key);
+  const PublishResult Result = publishFile(Path, Blob);
+  if (Result == PublishResult::Exists) {
+    // Published already - by an earlier job, a concurrent writer, or
+    // another process on the shared store. A republish still signals
+    // the entry is hot, so refresh its mtime (best effort) the same
+    // way load() does: otherwise an artifact that is recomputed and
+    // re-stored every run but never read back would keep a stale
+    // mtime and be the LRU-by-mtime GC's first victim.
+    std::error_code Ec;
+    fs::last_write_time(Path, fs::file_time_type::clock::now(), Ec);
   }
-  // Atomic publication: readers see the old state (nothing) or the
-  // complete entry, never a prefix. Concurrent renames to the same
-  // path race benignly (identical content-addressed bytes).
-  fs::rename(Temp, Entry, Ec);
-  if (Ec) {
-    fs::remove(Temp, Ec);
+  if (Result != PublishResult::Published) {
     WriteSkipCount.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -291,7 +220,7 @@ void ArtifactStore::collectGarbage() {
       Ec.clear();
       continue;
     }
-    if (isTempFile(Path)) {
+    if (isTempFileName(Path.filename().string())) {
       // A temp file older than a minute is debris from a crashed or
       // killed writer (live writers rename within milliseconds).
       if (Now - Mtime > std::chrono::minutes(1))

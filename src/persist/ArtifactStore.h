@@ -8,36 +8,16 @@
 /// engine pointed at the same directory starts warm (server restarts),
 /// and multiple processes can share one store concurrently.
 ///
-/// Layout: two-level hex fan-out of the key digest,
-///
-///   <dir>/ab/cd/<kind>-<32 hex digest chars>.art
-///
-/// where ab/cd are the first two bytes of Digest.Hi - at most 65536
-/// directories, keeping every directory small under millions of
-/// entries.
-///
-/// Publication is atomic: writers serialize into a unique temp file in
-/// the entry's directory and rename() it into place, so concurrent
-/// writers (threads or processes) race benignly - the entry appears
-/// all-at-once with *some* writer's bytes, and since keys are content
-/// addresses every writer's bytes are identical. Readers therefore
-/// never observe a partial entry; a torn file from a crashed writer
-/// fails the frame's digest check and is deleted and recomputed
+/// Layout (`<dir>/ab/cd/<kind>-<32 hex digest chars>.art`), atomic
+/// publication, and the checks a load makes (frame digest, blob kind,
+/// the key every payload starts with) are described in
+/// persist/README.md. A rejected entry is deleted and recomputed
 /// (CorruptSkips), never trusted.
 ///
-/// Writes are asynchronous by default (storeAsync): a single writer
-/// thread drains a bounded queue off the job workers' critical path,
-/// skipping entries that already exist (another thread, an earlier
-/// run, or another process published first). When the queue is full
-/// the write is dropped and counted (WriteSkips) - persistence is an
-/// optimization, never backpressure on repairs. flush() drains the
-/// queue for benches and orderly shutdown; the destructor flushes too.
-///
-/// Capacity: a byte budget enforced by LRU-over-mtime GC after writes.
-/// load() refreshes an entry's mtime, so recently-used entries survive.
-/// Budget enforcement is approximate across processes (each process
-/// tracks its own view and rescans when it believes the budget is
-/// exceeded); correctness never depends on it.
+/// Writes are asynchronous (storeAsync: a single writer thread drains a
+/// bounded queue; a full queue drops and counts the write). Capacity is
+/// a byte budget enforced by LRU-over-mtime GC; load() and republishes
+/// refresh an entry's mtime. Both are described in persist/README.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -138,7 +118,6 @@ private:
   std::thread Writer;
 
   std::mutex GcMutex;
-  std::atomic<std::uint64_t> NextTempId{0};
 
   mutable std::atomic<std::uint64_t> HitCount{0};
   mutable std::atomic<std::uint64_t> MissCount{0};

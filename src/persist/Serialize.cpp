@@ -6,11 +6,11 @@
 #include "nn/LinearLayers.h"
 #include "nn/Network.h"
 #include "nn/PoolLayers.h"
+#include "persist/FrameFile.h"
 #include "support/Casting.h"
 #include "support/Error.h"
 
 #include <cassert>
-#include <fstream>
 
 using namespace prdnn;
 using namespace prdnn::persist;
@@ -599,13 +599,8 @@ bool prdnn::persist::saveNetworkBinary(const Network &Net,
                                        const std::string &Path) {
   ByteWriter W;
   serializeNetwork(Net, W);
-  std::vector<std::uint8_t> Blob = frame(kNetworkBlobKind, W.buffer());
-  std::ofstream Os(Path, std::ios::binary | std::ios::trunc);
-  if (!Os)
-    return false;
-  Os.write(reinterpret_cast<const char *>(Blob.data()),
-           static_cast<std::streamsize>(Blob.size()));
-  return static_cast<bool>(Os);
+  return publishFile(Path, frame(kNetworkBlobKind, W.buffer()),
+                     /*Replace=*/true) == PublishResult::Published;
 }
 
 std::optional<Network>
@@ -616,18 +611,10 @@ prdnn::persist::loadNetworkBinary(const std::string &Path,
       *Error = E;
     return std::nullopt;
   };
-  std::ifstream Is(Path, std::ios::binary);
-  if (!Is)
-    return Fail(CodecError::Truncated);
-  std::vector<std::uint8_t> Blob((std::istreambuf_iterator<char>(Is)),
-                                 std::istreambuf_iterator<char>());
-  FrameView View;
-  CodecError FrameError = unframe(Blob.data(), Blob.size(), View);
-  if (FrameError != CodecError::None)
-    return Fail(FrameError);
-  if (View.BlobKind != kNetworkBlobKind)
-    return Fail(CodecError::Corrupt);
-  ByteReader R(View.Payload, View.PayloadSize);
+  FrameFile File = readFrameFile(Path, kNetworkBlobKind);
+  if (File.Error != CodecError::None)
+    return Fail(File.Error);
+  ByteReader R = File.payload();
   std::optional<Network> Net = deserializeNetwork(R);
   if (!Net || R.remaining() != 0)
     return Fail(R.error() == CodecError::None ? CodecError::Corrupt

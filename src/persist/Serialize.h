@@ -77,8 +77,8 @@ void serializeNetwork(const Network &Net, ByteWriter &W);
 /// Decodes a network from \p R; nullopt on malformed input.
 std::optional<Network> deserializeNetwork(ByteReader &R);
 
-/// Writes \p Net to \p Path as a framed binary blob (kNetworkBlobKind);
-/// false on I/O error.
+/// Writes \p Net to \p Path as a framed binary blob (kNetworkBlobKind),
+/// atomically replacing any existing file; false on I/O error.
 bool saveNetworkBinary(const Network &Net, const std::string &Path);
 
 /// Loads a framed binary network. On failure returns nullopt and (when

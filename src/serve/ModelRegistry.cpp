@@ -3,17 +3,12 @@
 #include "serve/ModelRegistry.h"
 
 #include "nn/Network.h"
+#include "persist/FrameFile.h"
 #include "persist/Serialize.h"
 
 #include <filesystem>
 #include <system_error>
 #include <utility>
-
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <unistd.h>
-#endif
 
 namespace fs = std::filesystem;
 
@@ -23,15 +18,6 @@ using namespace prdnn::serve;
 namespace {
 
 constexpr const char *kModelSuffix = ".net";
-constexpr const char *kTempPrefix = ".tmp-";
-
-std::uint64_t processId() {
-#ifdef _WIN32
-  return static_cast<std::uint64_t>(_getpid());
-#else
-  return static_cast<std::uint64_t>(::getpid());
-#endif
-}
 
 void setError(RegistryError *Error, RegistryError Value) {
   if (Error)
@@ -80,41 +66,23 @@ NetworkFingerprint ModelRegistry::publish(const Network &Net,
       Cache.emplace(Fp, std::make_shared<const Network>(Net));
   }
 
-  const std::string Path = entryPath(Fp);
-  std::error_code Ec;
-  if (fs::exists(Path, Ec)) {
-    // Published already - by an earlier run, a concurrent thread, or
-    // another process on the shared directory. Content addressing
-    // makes the bytes identical, so there is nothing to do.
+  // Content addressing makes every publisher's bytes identical, so an
+  // entry already on disk (an earlier run, a concurrent thread, or
+  // another process) is left as it is.
+  persist::ByteWriter W;
+  persist::serializeNetwork(Net, W);
+  switch (persist::publishFile(
+      entryPath(Fp), persist::frame(persist::kNetworkBlobKind, W.buffer()))) {
+  case persist::PublishResult::Published:
+    PublishCount.fetch_add(1, std::memory_order_relaxed);
+    break;
+  case persist::PublishResult::Exists:
     PublishSkipCount.fetch_add(1, std::memory_order_relaxed);
-    return Fp;
-  }
-
-  fs::create_directories(Dir, Ec);
-  // Unique temp name in the models directory itself so the final
-  // rename never crosses a filesystem boundary (atomicity).
-  std::string TempName =
-      kTempPrefix + std::to_string(processId()) + "-" +
-      std::to_string(NextTempId.fetch_add(1, std::memory_order_relaxed));
-  fs::path Temp = fs::path(Dir) / TempName;
-  if (!persist::saveNetworkBinary(Net, Temp.string())) {
+    break;
+  case persist::PublishResult::IoError:
     setError(Error, RegistryError::IoError);
-    fs::remove(Temp, Ec);
-    return Fp;
+    break;
   }
-  fs::rename(Temp, fs::path(Path), Ec);
-  if (Ec) {
-    fs::remove(Temp, Ec);
-    // A concurrent publisher may have renamed first; that is success.
-    std::error_code ExistsEc;
-    if (fs::exists(Path, ExistsEc)) {
-      PublishSkipCount.fetch_add(1, std::memory_order_relaxed);
-      return Fp;
-    }
-    setError(Error, RegistryError::IoError);
-    return Fp;
-  }
-  PublishCount.fetch_add(1, std::memory_order_relaxed);
   return Fp;
 }
 

@@ -8,30 +8,17 @@
 /// directory resolves the same immutable bytes.
 ///
 /// Layout: <store-dir>/models/<32 hex digest chars>.net, one framed
-/// binary network (persist::saveNetworkBinary) per entry, named by the
-/// network's own content fingerprint. The `.net` suffix keeps entries
-/// invisible to the artifact store's LRU GC, which only considers
-/// `.art` entry files - a registered model is never evicted to make
-/// room for Jacobian blocks (registry entries are the *roots* the
-/// artifacts hang off; losing one invalidates a fingerprint every
-/// client may still hold).
+/// binary network per entry, named by the network's own content
+/// fingerprint. The `.net` suffix keeps entries out of the artifact
+/// store's LRU GC, so a registered model is never evicted to make room
+/// for artifacts. Publication is atomic and idempotent (see
+/// persist/README.md): concurrent publishers race benignly, because a
+/// fingerprint is a content address.
 ///
-/// Publication is atomic and idempotent: writers serialize into a
-/// unique temp file in the models directory and rename() it into
-/// place, so concurrent publishers - threads or processes - race
-/// benignly (a fingerprint is a content address; every writer's bytes
-/// are identical), and a publish of an already-registered model is a
-/// cheap existence check.
-///
-/// Resolution is verified: a loaded network's fingerprint is
-/// *recomputed* and compared against the address it was resolved by.
-/// A mismatch (bit rot the codec's digest somehow missed, or a file
-/// renamed under a foreign address) or a corrupt/truncated frame is
-/// rejected with a typed RegistryError - never served, never a crash -
-/// and the bad entry is deleted so a later republish heals it.
-/// Successful loads enter a per-process in-memory cache (fingerprint
-/// -> shared immutable Network), so a serving process deserializes
-/// each model once, not per request.
+/// Resolution is verified: the loaded network's fingerprint is
+/// recomputed, and a corrupt or mismatched entry is rejected with a
+/// typed RegistryError and deleted (see RegistryError and
+/// serve/README.md). Loaded models stay in a per-process cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -181,8 +168,6 @@ private:
   std::unordered_map<NetworkFingerprint, std::shared_ptr<const Network>,
                      FpHash>
       Cache;
-
-  std::atomic<std::uint64_t> NextTempId{0};
 
   std::atomic<std::uint64_t> PublishCount{0};
   std::atomic<std::uint64_t> PublishSkipCount{0};

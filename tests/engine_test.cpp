@@ -125,8 +125,13 @@ struct CancelAt {
   std::shared_future<void> Ready{HandleReady.get_future().share()};
   std::vector<RepairPhase> Trace; // job-thread only; read after report()
 
-  std::function<void(RepairPhase)> hook(std::shared_ptr<CancelAt> Self) {
-    return [Self](RepairPhase P) {
+  /// The hook holds \p Self weakly: Self owns the JobHandle, which owns
+  /// the job, which owns the hook.
+  std::function<void(RepairPhase)> hook(std::weak_ptr<CancelAt> Weak) {
+    return [Weak](RepairPhase P) {
+      std::shared_ptr<CancelAt> Self = Weak.lock();
+      if (!Self)
+        return;
       Self->Ready.wait();
       Self->Trace.push_back(P);
       if (P == Self->Phase &&

@@ -15,6 +15,7 @@
 
 #include "persist/ArtifactStore.h"
 #include "persist/Codec.h"
+#include "persist/FrameFile.h"
 #include "persist/Serialize.h"
 
 #include "api/RepairEngine.h"
@@ -619,6 +620,14 @@ TEST(ArtifactStore, StoreLoadRoundTripAndMiss) {
   ArtifactStore Second(Options);
   EXPECT_EQ(Second.stats().Entries, 1u);
   EXPECT_NE(Second.load(keyOf(1)), nullptr);
+
+  // The on-disk layout is a contract with existing store directories.
+  CacheKey Pinned{ArtifactKind::PatternBatch,
+                  Digest128{0x0123456789abcdefull, 0xfedcba9876543210ull}};
+  EXPECT_EQ(Store.entryPath(Pinned),
+            (Dir.Path / "01" / "23" /
+             "PatternBatch-0123456789abcdeffedcba9876543210.art")
+                .string());
 }
 
 TEST(ArtifactStore, WriteBehindFlushAndKindMismatch) {
@@ -670,6 +679,33 @@ TEST(ArtifactStore, CorruptEntryIsSkippedAndDeleted) {
   fs::resize_file(Path4, fs::file_size(Path4) / 2);
   EXPECT_EQ(Store.load(keyOf(4)), nullptr);
   EXPECT_EQ(Store.stats().CorruptSkips, 2u);
+}
+
+TEST(ArtifactStore, EntryRenamedOntoAnotherKeyIsRejected) {
+  // A valid same-kind frame under another key's path passes the digest
+  // and kind checks; only the key inside the payload tells them apart.
+  TempDir Dir("key-mismatch");
+  StoreOptions Options;
+  Options.Directory = Dir.str();
+  ArtifactStore Store(Options);
+
+  auto A = makeRowsArtifact(4, 4, 1.0);
+  auto B = makeRowsArtifact(4, 4, 9.0);
+  Store.storeSync(keyOf(21), *A);
+  const fs::path Foreign = Store.entryPath(keyOf(22));
+  fs::create_directories(Foreign.parent_path());
+  fs::rename(Store.entryPath(keyOf(21)), Foreign);
+
+  EXPECT_EQ(Store.load(keyOf(22)), nullptr);
+  EXPECT_EQ(Store.stats().CorruptSkips, 1u);
+  EXPECT_FALSE(fs::exists(Foreign)) << "mismatched entry not deleted";
+
+  // The recompute republishes the right bytes.
+  Store.storeSync(keyOf(22), *B);
+  auto Back = std::static_pointer_cast<const JacobianRowsArtifact>(
+      Store.load(keyOf(22)));
+  ASSERT_NE(Back, nullptr);
+  EXPECT_EQ(Back->Coef, B->Coef);
 }
 
 TEST(ArtifactStore, GcEvictsOldestAtBudget) {
@@ -816,6 +852,44 @@ TEST(ArtifactStore, AtomicPublicationUnderConcurrentWriters) {
   for (int T = 0; T < 8; ++T)
     EXPECT_NE(Store.load(keyOf(5000 + static_cast<std::uint64_t>(T))),
               nullptr);
+}
+
+TEST(FrameFile, PublishKeepsOrReplacesAndReadChecksKind) {
+  using persist::PublishResult;
+  TempDir Dir("framefile");
+  const fs::path Sub = Dir.Path / "sub";
+  const std::string Path = (Sub / "f.bin").string();
+  auto Frame = [](std::uint8_t Fill) {
+    return persist::frame(7, std::vector<std::uint8_t>(3, Fill));
+  };
+  auto FirstByte = [&](std::uint8_t Kind) {
+    persist::FrameFile File = persist::readFrameFile(Path, Kind);
+    std::uint8_t Byte = 0;
+    ByteReader R = File.payload();
+    EXPECT_TRUE(File.Found);
+    return File.Error == CodecError::None && R.u8(Byte) ? int(Byte) : -1;
+  };
+
+  EXPECT_EQ(persist::publishFile(Path, Frame(1)), PublishResult::Published);
+  EXPECT_EQ(persist::publishFile(Path, Frame(2)), PublishResult::Exists);
+  EXPECT_EQ(FirstByte(7), 1);
+  EXPECT_EQ(persist::publishFile(Path, Frame(2), /*Replace=*/true),
+            PublishResult::Published);
+  EXPECT_EQ(FirstByte(7), 2);
+  EXPECT_EQ(persist::readFrameFile(Path, 8).Error, CodecError::Corrupt);
+
+  persist::FrameFile Missing =
+      persist::readFrameFile((Sub / "absent").string(), 7);
+  EXPECT_FALSE(Missing.Found);
+  EXPECT_EQ(Missing.Error, CodecError::Truncated);
+
+  // Only the target is left behind, and the GC can tell temp names.
+  int Files = 0;
+  for (const auto &Entry : fs::directory_iterator(Sub))
+    Files += Entry.is_regular_file();
+  EXPECT_EQ(Files, 1);
+  EXPECT_TRUE(persist::isTempFileName(".tmp-12-3"));
+  EXPECT_FALSE(persist::isTempFileName("JacobianRows-00.art"));
 }
 
 // --- Engine integration: the L2 determinism contract ------------------------
