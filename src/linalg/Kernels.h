@@ -7,10 +7,13 @@
 /// primitives, dot and axpy.
 ///
 ///  - Determinism::Strict (the default) preserves the repo's bit-exact
-///    contract: plain left-to-right scalar accumulation, no fusing, no
-///    reassociation. It is byte-for-byte the pre-existing scalar loop -
-///    the Strict path is inlined below precisely so routing a caller
-///    through this layer cannot change its codegen-visible semantics.
+///    contract: every output element keeps the plain scalar operation
+///    sequence - a separate multiply and add per term (no FMA), terms
+///    added left to right (no reassociation, no partial sums). The dot
+///    is the scalar loop itself; the axpy runs SIMD across elements
+///    (AVX2 under __AVX2__, else SSE2), which is legal because its
+///    elements are independent: each lane does the same multiply, then
+///    the same add, as the scalar loop, so the bits match on every host.
 ///  - Determinism::Fast trades bit-reproducibility for throughput:
 ///    reassociated multi-accumulator reductions, and AVX2/FMA when the
 ///    *running* CPU supports it (decided once at runtime, never at
@@ -33,6 +36,12 @@
 #define PRDNN_LINALG_KERNELS_H
 
 #include <cstdint>
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#elif defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace prdnn {
 namespace linalg {
@@ -72,8 +81,10 @@ void fastAxpy(double *Y, const double *X, double Scale, int N);
 
 /// Dot product sum_i A[i]*B[i].
 ///
-/// Strict: the exact scalar loop every pre-existing caller ran, inlined
-/// here so the compiler sees the same code it always did.
+/// Strict: one sequential add chain, inlined here so the compiler sees
+/// the plain scalar loop. It runs at FP-add latency; a caller that needs
+/// many independent dots gets throughput by running several chains side
+/// by side (lp/Simplex.cpp's FTRAN), never by splitting one chain.
 inline double kernelDot(const double *A, const double *B, int N,
                         Determinism Tier) {
   if (Tier == Determinism::Strict) {
@@ -85,21 +96,40 @@ inline double kernelDot(const double *A, const double *B, int N,
   return detail::fastDot(A, B, N);
 }
 
-/// Y[i] += Scale * X[i]. Callers' zero-skips (skipping Scale == 0
-/// entirely) stay at the call site - they are semantically identical in
-/// both tiers and part of the Strict accumulation order.
+/// Y[i] += Scale * X[i]; \p X and \p Y must not partially overlap.
+/// Callers' zero-skips (skipping Scale == 0 entirely) stay at the call
+/// site - they are semantically identical in both tiers and part of the
+/// Strict accumulation order.
+///
+/// Strict: four (AVX2) or two (SSE2) elements per instruction and a
+/// scalar tail, each one multiply then one add as in the scalar loop
+/// (-ffp-contract=off keeps them unfused); tests/kernels_test.cpp
+/// checks the bits against the scalar loop.
 ///
 /// A subtraction loop `Y[i] -= F * X[i]` routes through here as
 /// kernelAxpy(Y, X, -F, N): IEEE negation is exact and
 /// a + (-t) == a - t, so the Strict bits are unchanged.
 inline void kernelAxpy(double *Y, const double *X, double Scale, int N,
                        Determinism Tier) {
-  if (Tier == Determinism::Strict) {
-    for (int I = 0; I < N; ++I)
-      Y[I] += Scale * X[I];
+  if (Tier != Determinism::Strict) {
+    detail::fastAxpy(Y, X, Scale, N);
     return;
   }
-  detail::fastAxpy(Y, X, Scale, N);
+  int I = 0;
+#if defined(__AVX2__)
+  const __m256d S = _mm256_set1_pd(Scale);
+  for (; I + 4 <= N; I += 4)
+    _mm256_storeu_pd(Y + I,
+                     _mm256_add_pd(_mm256_loadu_pd(Y + I),
+                                   _mm256_mul_pd(S, _mm256_loadu_pd(X + I))));
+#elif defined(__SSE2__)
+  const __m128d S = _mm_set1_pd(Scale);
+  for (; I + 2 <= N; I += 2)
+    _mm_storeu_pd(Y + I, _mm_add_pd(_mm_loadu_pd(Y + I),
+                                    _mm_mul_pd(S, _mm_loadu_pd(X + I))));
+#endif
+  for (; I < N; ++I)
+    Y[I] += Scale * X[I];
 }
 
 /// The calling thread's ambient tier (Strict unless a KernelTierScope

@@ -17,31 +17,28 @@
 // and before any terminal status is reported, so returned solutions are
 // always re-verified against a freshly factorized basis.
 //
-// Kernel parallelism. Once M >= SimplexOptions::ParallelMinDim (and
-// ParallelKernels is on), the dense inner kernels run blocked on the
-// shared support/Parallel.h pool under the library-wide determinism
-// contract - every output element keeps the exact accumulation order of
-// the scalar kernel, and block merges are deterministic - so the
-// parallel path is bit-for-bit identical to the scalar path at any
-// thread count (same pivot sequence, same LpSolution bits; enforced by
-// tests/lp_test.cpp). Per-kernel notes:
-//  - pricing: one batched reduced-cost pass rc = c - A~^T y over
-//    column-blocked ColA (slack columns are the -I block); per-block
-//    Dantzig candidates merge in ascending block order with the scalar
-//    scan's strict-> rule, so the chosen column matches the scalar
-//    earliest-max exactly. Bland's rule sweeps fixed groups of blocks
-//    with an early exit, returning the globally first improving index.
-//  - FTRAN/BTRAN: row-blocked (resp. column-blocked) matvecs; each
-//    output element is one sequential dot / accumulation in the scalar
-//    order.
-//  - refactorization / eta update: the O(M^2)-per-step row-elimination
-//    updates parallelize over rows; each row's arithmetic is
-//    independent of the partitioning.
+// Kernels. Every output element of every dense kernel keeps the
+// operation sequence of a plain scalar loop - one multiply, then one
+// add, per term, terms in ascending order - so the layouts below change
+// no bit:
+//  - A is stored once: RowA holds the scaled base columns row-major. A
+//    column that is the exact negation of an earlier one (the l1
+//    split's Q_j = -P_j) is a mirror and stores nothing.
+//  - pricing: one sweep Acc = A_base^T y of row-wise axpys over RowA,
+//    then a serial scan of the reduced costs; a mirror is priced from
+//    its base's dot.
+//  - FTRAN: four Binv row dots side by side; BTRAN, the eta update and
+//    refactorization: axpys over Binv rows (SIMD in linalg::kernelAxpy).
 //  - ratio test: blocking rows are preselected per row block (the
 //    per-row limit computation is order-free), then merged by a serial
 //    replay of the scalar scan. The merge must be serial: the tie
 //    window tracks the incumbent ratio, so candidate selection is
 //    genuinely order-dependent and per-block winners would diverge.
+// Once M >= SimplexOptions::ParallelMinDim (and ParallelKernels is on)
+// the kernels split their disjoint outputs across the shared
+// support/Parallel.h pool; each element is still computed by one thread
+// in the scalar order, so any thread count gives the same pivot
+// sequence and LpSolution bits (enforced by tests/lp_test.cpp).
 // See src/lp/README.md for the full contract.
 //
 //===----------------------------------------------------------------------===//
@@ -53,9 +50,11 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <unordered_map>
 
 using namespace prdnn;
 using namespace prdnn::lp;
@@ -111,11 +110,15 @@ private:
   const LinearProgram &Prob;
   SimplexOptions Opt;
 
-  // Shapes: M kept rows, NS structural variables, NT = NS + M total.
-  int M = 0, NS = 0, NT = 0;
+  // Shapes: M kept rows, NS structural variables, NT = NS + M total,
+  // NB base columns (structural columns that are not mirrors).
+  int M = 0, NS = 0, NT = 0, NB = 0;
   std::vector<int> KeptRows;     // worker row -> original row index
-  std::vector<double> ColA;      // column-major scaled A, entry (i,j) at
-                                 // j*M + i
+  std::vector<int> ColRef;       // per structural: base index b, or ~b
+                                 // for the mirror (exact negation) of b
+  std::vector<double> RowA;      // row-major scaled base columns, entry
+                                 // (i,b) at i*NB + b
+  bool AFinite = true;           // no inf/NaN entry in RowA
   std::vector<double> RowScale;  // per kept row
   std::vector<double> Lo, Hi, Cost; // per total variable
   std::vector<int> Basis;           // var basic in each row
@@ -123,23 +126,16 @@ private:
   std::vector<double> X;            // per total variable
   std::vector<double> Binv;         // dense M*M, row-major
   std::vector<double> W, Y, Cb, Rhs;
+  std::vector<double> Acc;    // NB base-column dots A_base^T Y
+  std::vector<double> ColBuf; // M: one gathered structural column
 
   // Parallel-kernel state. All scratch lives on the Worker and is
   // sized once in initialBasis(), so the iteration hot loop allocates
   // nothing (asserted in debug builds via the capacity watermark).
   bool Par = false; // parallel kernels active for this solve
-  static constexpr int PriceGrain = 64;  // columns per pricing block
+  static constexpr int PriceGrain = 64;  // columns per sweep chunk
   static constexpr int RatioGrain = 256; // rows per ratio block
-  /// Blocks swept together (with one deterministic merge) per early-
-  /// exit round of parallel Bland pricing. A fixed constant: the merge
-  /// result is group-size independent, but a fixed value keeps the
-  /// work profile reproducible too.
-  static constexpr int BlandGroupBlocks = 16;
-  int NumPriceBlocks = 0, NumRatioBlocks = 0;
-  std::vector<double> Rc;              // NT reduced costs (batched pass)
-  std::vector<double> PriceBlockScore; // per pricing block: Dantzig best
-  std::vector<int> PriceBlockJ, PriceBlockSigma;
-  std::vector<int> PriceBlockFirst; // per block: Bland first-improving
+  int NumRatioBlocks = 0;
   struct RatioCand {
     double Limit;
     double WAbs;
@@ -171,6 +167,7 @@ private:
 #endif
 
   bool buildProblem(LpSolution &Out); // false => Out holds final status
+  void buildColumns();
   void initialBasis();
   void setSlackBasis();
   bool tryWarmStart(const SimplexBasis &Warm);
@@ -178,41 +175,39 @@ private:
   void recomputeBasicValues();
   double infeasibility() const;
   double currentObjective() const;
-  double columnDot(const std::vector<double> &Vec, int J) const;
   void computeColumn(int J);
   void computeDuals();
   bool isFixed(int J) const { return Hi[J] - Lo[J] <= 1e-30; }
 
-  /// The one pricing rule, shared by every kernel path (scalar scan,
-  /// parallel Dantzig blocks, Bland sweeps, batched verification):
-  /// prices column \p J against the current duals Y and returns the
-  /// improving direction (+1 rising from lower / free, -1 falling from
-  /// upper / free) or 0. Skips basic and fixed columns, leaving
-  /// \p RcOut untouched; otherwise stores the reduced cost there.
-  int priceColumn(int J, bool Phase1, double &RcOut) const {
-    VarStatus S = Stat[static_cast<size_t>(J)];
-    if (S == VarStatus::Basic || isFixed(J))
-      return 0;
-    double RcJ = (Phase1 ? 0.0 : Cost[static_cast<size_t>(J)]) -
-                 columnDot(Y, J);
-    RcOut = RcJ;
-    if ((S == VarStatus::AtLower || S == VarStatus::FreeNb) &&
-        RcJ < -Opt.OptTol)
-      return 1;
-    if ((S == VarStatus::AtUpper || S == VarStatus::FreeNb) &&
-        RcJ > Opt.OptTol)
-      return -1;
-    return 0;
+  /// Scaled A(I, J) of structural column \p J, bit for bit the entry a
+  /// full copy of A holds: a mirror's 0.0 - v is -v, and +0.0 for v ==
+  /// +0.0 (A never holds -0.0: every entry accumulates from +0.0).
+  double entry(int I, int J) const {
+    int Ref = ColRef[static_cast<size_t>(J)];
+    const double *Row = RowA.data() + static_cast<size_t>(I) * NB;
+    return Ref >= 0 ? Row[Ref] : 0.0 - Row[~Ref];
   }
+  void gatherColumn(int J);
+
+  /// Acc = A_base^T Y: the pricing sweep.
+  void sweepDuals();
+  /// Reduced cost of column \p J from the last sweep. A mirror's dot is
+  /// the exact negation of its base's, and a - (-b) == a + b; the two
+  /// forms can differ only in the sign of a zero, which no comparison
+  /// on a reduced cost sees.
+  double reducedCost(int J, bool Phase1) const {
+    double C = Phase1 ? 0.0 : Cost[static_cast<size_t>(J)];
+    if (J >= NS)
+      return C - (-Y[static_cast<size_t>(J - NS)]);
+    int Ref = ColRef[static_cast<size_t>(J)];
+    return Ref >= 0 ? C - Acc[static_cast<size_t>(Ref)]
+                    : C + Acc[static_cast<size_t>(~Ref)];
+  }
+  /// Calls \p Store(R, Binv row R . V) for R in [Begin, End).
+  template <typename StoreFn>
+  void rowDots(int Begin, int End, const double *V, StoreFn Store) const;
 
   int chooseEntering(bool Phase1, int &SigmaOut);
-  int chooseEnteringScalar(bool Phase1, int &SigmaOut);
-  int chooseEnteringDantzigPar(bool Phase1, int &SigmaOut);
-  int chooseEnteringBlandPar(bool Phase1, int &SigmaOut);
-  /// Parallel reduced-cost pass over every nonbasic, unfixed column
-  /// into Rc (no candidate selection); used by the dual-feasibility
-  /// verification in run().
-  void batchReducedCosts(bool Phase1);
 
   struct RatioResult {
     double T = 0.0;
@@ -315,11 +310,9 @@ void Worker::collectScratchCaps(std::vector<size_t> &Out) const {
   Out.push_back(Binv.capacity());
   Out.push_back(X.capacity());
   Out.push_back(Basis.capacity());
-  Out.push_back(Rc.capacity());
-  Out.push_back(PriceBlockScore.capacity());
-  Out.push_back(PriceBlockJ.capacity());
-  Out.push_back(PriceBlockSigma.capacity());
-  Out.push_back(PriceBlockFirst.capacity());
+  Out.push_back(RowA.capacity());
+  Out.push_back(Acc.capacity());
+  Out.push_back(ColBuf.capacity());
   Out.push_back(RefB.capacity());
   Out.push_back(RefInv.capacity());
   for (const auto &Block : RatioBlocks)
@@ -385,14 +378,7 @@ bool Worker::buildProblem(LpSolution &Out) {
     }
   }
 
-  ColA.assign(static_cast<size_t>(M) * static_cast<size_t>(NS), 0.0);
-  for (int R = 0; R < M; ++R) {
-    const LpRow &Row = Prob.row(KeptRows[R]);
-    for (size_t K = 0; K < Row.Index.size(); ++K) {
-      int J = Row.Index[K];
-      ColA[static_cast<size_t>(J) * M + R] += Row.Value[K] / RowScale[R];
-    }
-  }
+  buildColumns();
 
   Lo.resize(NT);
   Hi.resize(NT);
@@ -410,6 +396,79 @@ bool Worker::buildProblem(LpSolution &Out) {
   return true;
 }
 
+void Worker::buildColumns() {
+  // Streams scaled row R of A into the dense NS-vector Row, accumulated
+  // exactly as a column-major fill from +0.0 would; ClearRow undoes it.
+  std::vector<double> Row(static_cast<size_t>(NS), 0.0);
+  auto LoadRow = [&](int R) {
+    const LpRow &Src = Prob.row(KeptRows[R]);
+    for (size_t K = 0; K < Src.Index.size(); ++K)
+      Row[static_cast<size_t>(Src.Index[K])] += Src.Value[K] / RowScale[R];
+  };
+  auto ClearRow = [&](int R) {
+    for (int J : Prob.row(KeptRows[R]).Index)
+      Row[static_cast<size_t>(J)] = 0.0;
+  };
+  auto Bits = [](double V) { return std::bit_cast<std::uint64_t>(V); };
+
+  // Mirror candidates: an order-sensitive digest of every column and of
+  // its negation; column J is paired with the earliest base column
+  // whose negation digest equals J's digest.
+  std::vector<std::uint64_t> Digest(static_cast<size_t>(NS),
+                                    0xcbf29ce484222325ULL);
+  std::vector<std::uint64_t> NegDigest = Digest;
+  for (int R = 0; R < M; ++R) {
+    LoadRow(R);
+    for (int J = 0; J < NS; ++J) {
+      double V = Row[static_cast<size_t>(J)];
+      Digest[J] = (Digest[J] ^ Bits(V)) * 0x100000001b3ULL;
+      NegDigest[J] = (NegDigest[J] ^ Bits(0.0 - V)) * 0x100000001b3ULL;
+    }
+    ClearRow(R);
+  }
+  std::vector<int> MirrorOf(static_cast<size_t>(NS), -1);
+  std::unordered_map<std::uint64_t, int> BaseByNegDigest;
+  for (int J = 0; J < NS; ++J) {
+    auto It = BaseByNegDigest.find(Digest[J]);
+    if (It != BaseByNegDigest.end())
+      MirrorOf[J] = It->second;
+    else
+      BaseByNegDigest.emplace(NegDigest[J], J);
+  }
+
+  // Fill RowA with the base columns. A digest match is only a
+  // candidate, so the same pass checks every mirror entry bit for bit;
+  // a column that differs anywhere is demoted to a base column and the
+  // fill reruns (a 64-bit digest collision: in practice never).
+  bool Demoted = true;
+  while (Demoted) {
+    Demoted = false;
+    NB = 0;
+    ColRef.resize(static_cast<size_t>(NS));
+    for (int J = 0; J < NS; ++J)
+      ColRef[J] = MirrorOf[J] < 0 ? NB++ : ~ColRef[MirrorOf[J]];
+    RowA.assign(static_cast<size_t>(M) * static_cast<size_t>(NB), 0.0);
+    AFinite = true;
+    for (int R = 0; R < M; ++R) {
+      LoadRow(R);
+      double *Out = RowA.data() + static_cast<size_t>(R) * NB;
+      for (int J = 0; J < NS; ++J) {
+        double V = Row[static_cast<size_t>(J)];
+        int B = MirrorOf[J];
+        if (ColRef[J] >= 0) {
+          Out[ColRef[J]] = V;
+          AFinite = AFinite && std::isfinite(V);
+        } else if (B >= 0 &&
+                   Bits(V) != Bits(0.0 - Row[static_cast<size_t>(B)])) {
+          MirrorOf[J] = -1;
+          Demoted = true;
+        }
+      }
+      ClearRow(R);
+    }
+  }
+}
+
 void Worker::initialBasis() {
   Basis.resize(M);
   Stat.assign(static_cast<size_t>(NT), VarStatus::AtLower);
@@ -419,18 +478,14 @@ void Worker::initialBasis() {
   Y.resize(M);
   Cb.resize(M);
   Rhs.resize(M);
-  // Refactorization scratch (both kernel paths) and the batched-pricing
-  // / ratio-preselection scratch (parallel path only), sized once so no
+  Acc.resize(static_cast<size_t>(NB));
+  ColBuf.resize(M);
+  // Refactorization scratch (both kernel paths) and the ratio-
+  // preselection scratch (parallel path only), sized once so no
   // iteration ever allocates.
   RefB.resize(static_cast<size_t>(M) * M);
   RefInv.resize(static_cast<size_t>(M) * M);
   if (Par) {
-    Rc.resize(static_cast<size_t>(NT));
-    NumPriceBlocks = (NT + PriceGrain - 1) / PriceGrain;
-    PriceBlockScore.resize(static_cast<size_t>(NumPriceBlocks));
-    PriceBlockJ.resize(static_cast<size_t>(NumPriceBlocks));
-    PriceBlockSigma.resize(static_cast<size_t>(NumPriceBlocks));
-    PriceBlockFirst.resize(static_cast<size_t>(NumPriceBlocks));
     NumRatioBlocks = (M + RatioGrain - 1) / RatioGrain;
     RatioBlocks.resize(static_cast<size_t>(NumRatioBlocks));
     for (auto &Block : RatioBlocks)
@@ -556,22 +611,20 @@ bool Worker::refactor() {
   ++Stats.Refactors;
   std::vector<double> &B = RefB;
   std::vector<double> &Inv = RefInv;
-  std::fill(B.begin(), B.end(), 0.0);
-  auto BuildColumn = [&](int R) {
-    int J = Basis[R];
-    if (J < NS) {
-      const double *Col = ColA.data() + static_cast<size_t>(J) * M;
-      for (int I = 0; I < M; ++I)
-        B[static_cast<size_t>(I) * M + R] = Col[I];
-    } else {
-      B[static_cast<size_t>(J - NS) * M + R] = -1.0;
+  // B row I holds entry I of every basic column (a slack's is -1 on its
+  // own row and 0 elsewhere).
+  auto BuildRow = [&](int I) {
+    double *Row = B.data() + static_cast<size_t>(I) * M;
+    for (int R = 0; R < M; ++R) {
+      int J = Basis[R];
+      Row[R] = J < NS ? entry(I, J) : (J - NS == I ? -1.0 : 0.0);
     }
   };
   if (Par)
-    parallelFor(0, M, [&](std::int64_t R) { BuildColumn(static_cast<int>(R)); });
+    parallelFor(0, M, [&](std::int64_t I) { BuildRow(static_cast<int>(I)); });
   else
-    for (int R = 0; R < M; ++R)
-      BuildColumn(R);
+    for (int I = 0; I < M; ++I)
+      BuildRow(I);
   std::fill(Inv.begin(), Inv.end(), 0.0);
   for (int I = 0; I < M; ++I)
     Inv[static_cast<size_t>(I) * M + I] = 1.0;
@@ -637,24 +690,58 @@ void Worker::recomputeBasicValues() {
     if (Stat[J] == VarStatus::Basic || X[J] == 0.0)
       continue;
     if (J < NS) {
-      const double *Col = ColA.data() + static_cast<size_t>(J) * M;
-      linalg::kernelAxpy(Rhs.data(), Col, -X[J], M, Opt.Determinism);
+      gatherColumn(J);
+      linalg::kernelAxpy(Rhs.data(), ColBuf.data(), -X[J], M,
+                         Opt.Determinism);
     } else {
       Rhs[J - NS] += X[J];
     }
   }
   // Basic entries of X are distinct slots, so the row-blocked matvec
   // writes disjointly; each element keeps its scalar accumulation order.
-  auto RowValue = [&](int R) {
-    X[Basis[R]] = linalg::kernelDot(
-        Binv.data() + static_cast<size_t>(R) * M, Rhs.data(), M,
-        Opt.Determinism);
-  };
+  auto Store = [&](int R, double V) { X[Basis[R]] = V; };
   if (Par)
-    parallelFor(0, M, [&](std::int64_t R) { RowValue(static_cast<int>(R)); });
+    parallelForRanges(0, M, [&](std::int64_t Begin, std::int64_t End) {
+      rowDots(static_cast<int>(Begin), static_cast<int>(End), Rhs.data(),
+              Store);
+    });
   else
-    for (int R = 0; R < M; ++R)
-      RowValue(R);
+    rowDots(0, M, Rhs.data(), Store);
+}
+
+void Worker::gatherColumn(int J) {
+  for (int I = 0; I < M; ++I)
+    ColBuf[I] = entry(I, J);
+}
+
+template <typename StoreFn>
+void Worker::rowDots(int Begin, int End, const double *V,
+                     StoreFn Store) const {
+  // A Strict dot is one add chain and runs at FP-add latency; four
+  // independent chains side by side run at throughput, and each is
+  // still the sequential ascending sum kernelDot computes.
+  int R = Begin;
+  if (Opt.Determinism == linalg::Determinism::Strict) {
+    for (; R + 4 <= End; R += 4) {
+      const double *B0 = Binv.data() + static_cast<size_t>(R) * M;
+      const double *B1 = B0 + M, *B2 = B1 + M, *B3 = B2 + M;
+      double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
+      for (int K = 0; K < M; ++K) {
+        double Vk = V[K];
+        S0 += B0[K] * Vk;
+        S1 += B1[K] * Vk;
+        S2 += B2[K] * Vk;
+        S3 += B3[K] * Vk;
+      }
+      Store(R, S0);
+      Store(R + 1, S1);
+      Store(R + 2, S2);
+      Store(R + 3, S3);
+    }
+  }
+  for (; R < End; ++R)
+    Store(R, linalg::kernelDot(Binv.data() + static_cast<size_t>(R) * M, V,
+                               M, Opt.Determinism));
 }
 
 double Worker::infeasibility() const {
@@ -682,13 +769,6 @@ double Worker::currentObjective() const {
   return Sum;
 }
 
-double Worker::columnDot(const std::vector<double> &Vec, int J) const {
-  if (J >= NS)
-    return -Vec[J - NS];
-  const double *Col = ColA.data() + static_cast<size_t>(J) * M;
-  return linalg::kernelDot(Vec.data(), Col, M, Opt.Determinism);
-}
-
 void Worker::computeColumn(int J) {
   // FTRAN: W = Binv * Atilde_J. Row-blocked parallel matvec; every
   // W[R] is one sequential dot in the scalar order, so partitioning
@@ -700,16 +780,15 @@ void Worker::computeColumn(int J) {
       W[R] = -Binv[static_cast<size_t>(R) * M + K];
     return;
   }
-  const double *Col = ColA.data() + static_cast<size_t>(J) * M;
-  auto RowDot = [&](int R) {
-    W[R] = linalg::kernelDot(Binv.data() + static_cast<size_t>(R) * M, Col,
-                             M, Opt.Determinism);
-  };
+  gatherColumn(J);
+  auto Store = [&](int R, double V) { W[R] = V; };
   if (Par)
-    parallelFor(0, M, [&](std::int64_t R) { RowDot(static_cast<int>(R)); });
+    parallelForRanges(0, M, [&](std::int64_t Begin, std::int64_t End) {
+      rowDots(static_cast<int>(Begin), static_cast<int>(End), ColBuf.data(),
+              Store);
+    });
   else
-    for (int R = 0; R < M; ++R)
-      RowDot(R);
+    rowDots(0, M, ColBuf.data(), Store);
 }
 
 void Worker::computeDuals() {
@@ -742,29 +821,55 @@ void Worker::computeDuals() {
   });
 }
 
-int Worker::chooseEntering(bool Phase1, int &SigmaOut) {
-  KernelTimer Timer(Stats.PricingSeconds);
-  if (!Par)
-    return chooseEnteringScalar(Phase1, SigmaOut);
-  return Bland ? chooseEnteringBlandPar(Phase1, SigmaOut)
-               : chooseEnteringDantzigPar(Phase1, SigmaOut);
+void Worker::sweepDuals() {
+  // Acc[b] += Y[i] * A[i][b] for i ascending: per column, the add
+  // sequence of the dot Y . A_b, as row-wise axpys over RowA. A row
+  // with Y[i] == 0 would add an exact +-0 to every entry (A is finite),
+  // which leaves a sum that starts at +0.0 unchanged, so it is skipped -
+  // most duals are zero while the basis is mostly slacks. Column ranges
+  // are disjoint outputs, so the parallel split is bit-exact.
+  auto Sweep = [&](std::int64_t Begin, std::int64_t End) {
+    int N = static_cast<int>(End - Begin);
+    double *Out = Acc.data() + Begin;
+    std::fill(Out, Out + N, 0.0);
+    for (int I = 0; I < M; ++I)
+      if (Y[I] != 0.0 || !AFinite)
+        linalg::kernelAxpy(Out,
+                           RowA.data() + static_cast<size_t>(I) * NB + Begin,
+                           Y[I], N, Opt.Determinism);
+  };
+  if (Par)
+    parallelForRanges(0, NB, Sweep, PriceGrain);
+  else
+    Sweep(0, NB);
 }
 
-int Worker::chooseEnteringScalar(bool Phase1, int &SigmaOut) {
-  // Full Dantzig pricing (best |rc|); Bland's rule takes the first
-  // improving index instead. Partial pricing was tried and reverted: on
-  // the repair LPs' split-variable columns it zigzags into iteration
-  // blow-ups that dwarf the per-iteration savings.
+int Worker::chooseEntering(bool Phase1, int &SigmaOut) {
+  // Full Dantzig pricing (best |rc|, earliest index on ties); Bland's
+  // rule takes the first improving index instead. Partial pricing was
+  // tried and reverted: on the repair LPs' split-variable columns it
+  // zigzags into iteration blow-ups that dwarf the per-iteration
+  // savings.
+  KernelTimer Timer(Stats.PricingSeconds);
+  sweepDuals();
   int BestJ = -1;
   int BestSigma = 0;
   double BestScore = Opt.OptTol;
   for (int J = 0; J < NT; ++J) {
-    double RcJ = 0.0;
-    int Sigma = priceColumn(J, Phase1, RcJ);
+    VarStatus S = Stat[static_cast<size_t>(J)];
+    if (S == VarStatus::Basic || isFixed(J))
+      continue;
+    double RcJ = reducedCost(J, Phase1);
+    int Sigma = 0;
+    if ((S == VarStatus::AtLower || S == VarStatus::FreeNb) &&
+        RcJ < -Opt.OptTol)
+      Sigma = 1; // rising from lower / free
+    else if ((S == VarStatus::AtUpper || S == VarStatus::FreeNb) &&
+             RcJ > Opt.OptTol)
+      Sigma = -1; // falling from upper / free
     if (Sigma == 0)
       continue;
     if (Bland) {
-      // Bland's rule: first improving index.
       SigmaOut = Sigma;
       return J;
     }
@@ -777,108 +882,6 @@ int Worker::chooseEnteringScalar(bool Phase1, int &SigmaOut) {
   }
   SigmaOut = BestSigma;
   return BestJ;
-}
-
-int Worker::chooseEnteringDantzigPar(bool Phase1, int &SigmaOut) {
-  // Batched reduced-cost pass rc = c - A~^T y over column blocks of
-  // ColA (slack columns j >= NS are the -I block inside columnDot).
-  // Each column's dot keeps the scalar accumulation order; each block
-  // keeps the scalar scan's running-best rule (strict >, earliest index
-  // kept on ties), and blocks merge in ascending order under the same
-  // rule - so the winner is exactly the scalar scan's earliest-max.
-  parallelForRanges(
-      0, NT,
-      [&](std::int64_t Begin, std::int64_t End) {
-        size_t Block = static_cast<size_t>(Begin / PriceGrain);
-        double BestScore = Opt.OptTol;
-        int BestJ = -1;
-        int BestSigma = 0;
-        for (std::int64_t J = Begin; J < End; ++J) {
-          double RcJ = 0.0;
-          int Sigma = priceColumn(static_cast<int>(J), Phase1, RcJ);
-          if (Sigma == 0)
-            continue;
-          double Score = std::fabs(RcJ);
-          if (Score > BestScore) {
-            BestScore = Score;
-            BestJ = static_cast<int>(J);
-            BestSigma = Sigma;
-          }
-        }
-        PriceBlockScore[Block] = BestScore;
-        PriceBlockJ[Block] = BestJ;
-        PriceBlockSigma[Block] = BestSigma;
-      },
-      PriceGrain);
-
-  double BestScore = Opt.OptTol;
-  int BestJ = -1;
-  int BestSigma = 0;
-  for (int Block = 0; Block < NumPriceBlocks; ++Block) {
-    if (PriceBlockJ[Block] >= 0 && PriceBlockScore[Block] > BestScore) {
-      BestScore = PriceBlockScore[Block];
-      BestJ = PriceBlockJ[Block];
-      BestSigma = PriceBlockSigma[Block];
-    }
-  }
-  SigmaOut = BestSigma;
-  return BestJ;
-}
-
-int Worker::chooseEnteringBlandPar(bool Phase1, int &SigmaOut) {
-  // Bland's rule wants the globally first improving index, so a full
-  // batched pass would waste the early exit the scalar scan enjoys.
-  // Instead sweep fixed-size groups of column blocks: within a group
-  // each block finds its first improving index in parallel, then the
-  // ascending-order merge takes the earliest hit - the same index the
-  // scalar scan returns - and later groups are never priced.
-  for (int Group = 0; Group < NumPriceBlocks; Group += BlandGroupBlocks) {
-    int GroupEnd = std::min(NumPriceBlocks, Group + BlandGroupBlocks);
-    std::int64_t ColBegin = static_cast<std::int64_t>(Group) * PriceGrain;
-    std::int64_t ColEnd =
-        std::min<std::int64_t>(NT, static_cast<std::int64_t>(GroupEnd) *
-                                       PriceGrain);
-    parallelForRanges(
-        ColBegin, ColEnd,
-        [&](std::int64_t Begin, std::int64_t End) {
-          size_t Block = static_cast<size_t>(Begin / PriceGrain);
-          int Found = -1;
-          int FoundSigma = 0;
-          for (std::int64_t J = Begin; J < End; ++J) {
-            double RcJ = 0.0;
-            int Sigma = priceColumn(static_cast<int>(J), Phase1, RcJ);
-            if (Sigma != 0) {
-              Found = static_cast<int>(J);
-              FoundSigma = Sigma;
-              break;
-            }
-          }
-          PriceBlockFirst[Block] = Found;
-          PriceBlockSigma[Block] = FoundSigma;
-        },
-        PriceGrain);
-    for (int Block = Group; Block < GroupEnd; ++Block) {
-      if (PriceBlockFirst[Block] >= 0) {
-        SigmaOut = PriceBlockSigma[Block];
-        return PriceBlockFirst[Block];
-      }
-    }
-  }
-  SigmaOut = 0;
-  return -1;
-}
-
-void Worker::batchReducedCosts(bool Phase1) {
-  KernelTimer Timer(Stats.PricingSeconds);
-  parallelForRanges(
-      0, NT,
-      [&](std::int64_t Begin, std::int64_t End) {
-        // Rc[J] stays untouched (stale) for skipped basic/fixed
-        // columns, which no reader consults.
-        for (std::int64_t J = Begin; J < End; ++J)
-          priceColumn(static_cast<int>(J), Phase1, Rc[static_cast<size_t>(J)]);
-      },
-      PriceGrain);
 }
 
 Worker::RatioResult Worker::ratioTest(int J, int Sigma, bool Phase1) {
@@ -1282,20 +1285,19 @@ LpSolution Worker::run() {
                           : P1);
       continue;
     }
-    // Verify dual feasibility on the clean factorization. The parallel
-    // path batches the reduced costs (same per-column bits) and checks
-    // the sign conditions serially; the verdict is identical to the
-    // scalar early-exit scan because the conditions are per-column.
+    // Verify dual feasibility on the clean factorization.
     for (int R = 0; R < M; ++R)
       Cb[R] = Cost[Basis[R]];
     computeDuals();
+    {
+      KernelTimer Timer(Stats.PricingSeconds);
+      sweepDuals();
+    }
     bool DualOk = true;
-    if (Par)
-      batchReducedCosts(/*Phase1=*/false);
     for (int J = 0; J < NT && DualOk; ++J) {
       if (Stat[J] == VarStatus::Basic || isFixed(J))
         continue;
-      double RcJ = Par ? Rc[J] : Cost[J] - columnDot(Y, J);
+      double RcJ = reducedCost(J, /*Phase1=*/false);
       if ((Stat[J] == VarStatus::AtLower || Stat[J] == VarStatus::FreeNb) &&
           RcJ < -50 * Opt.OptTol)
         DualOk = false;

@@ -14,14 +14,15 @@
 /// a final clean-solve verification before an Optimal status is
 /// reported, and dual values for optimality certificates.
 ///
-/// The dense inner kernels (pricing, FTRAN/BTRAN, refactorization, eta
-/// update, ratio-test preselection) run blocked and parallel on the
-/// shared support/Parallel.h pool once the problem reaches
-/// SimplexOptions::ParallelMinDim kept rows; below that - or with
-/// SimplexOptions::ParallelKernels off (the ablation baseline) - the
-/// scalar reference kernels run instead. Both paths are bit-for-bit
-/// identical at any thread count: identical pivot sequences, identical
-/// LpSolution bits (see src/lp/README.md for the determinism contract).
+/// The dense kernels (pricing sweep, FTRAN/BTRAN, refactorization, eta
+/// update, ratio-test preselection) keep each output element's scalar
+/// operation sequence; they split their outputs across the shared
+/// support/Parallel.h pool once the problem reaches
+/// SimplexOptions::ParallelMinDim kept rows, and below that - or with
+/// SimplexOptions::ParallelKernels off (the ablation baseline) - run on
+/// the calling thread. Both paths are bit-for-bit identical at any
+/// thread count: identical pivot sequences, identical LpSolution bits
+/// (see src/lp/README.md for the kernels and the determinism contract).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,13 +2,13 @@
 //
 // The Strict/Fast kernel tier contract (src/linalg/README.md):
 // Strict is bit-for-bit the seed's scalar accumulation at any thread
-// count; Fast is epsilon-verified against Strict, including on
-// adversarial inputs (NaN, signed zero, denormals, catastrophic
-// cancellation); the ambient tier travels by KernelTierScope; the tier
-// round-trips through the RPC wire codec; and no cached artifact ever
-// crosses tiers (a Fast artifact can never serve a Strict request, and
-// Fast LP solves never touch the warm-start basis cache). Runs under
-// the CI ThreadSanitizer job.
+// count, its SIMD axpy included; Fast is epsilon-verified against
+// Strict, including on adversarial inputs (NaN, signed zero, denormals,
+// catastrophic cancellation); the ambient tier travels by
+// KernelTierScope; the tier round-trips through the RPC wire codec; and
+// no cached artifact ever crosses tiers (a Fast artifact can never
+// serve a Strict request, and Fast LP solves never touch the warm-start
+// basis cache). Runs under the CI ThreadSanitizer job.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -177,6 +178,62 @@ TEST(KernelTier, StrictMatchesInlineScalarReferenceBitwise) {
         EXPECT_EQ(CDefault(I, J), C(I, J));
   }
   setGlobalThreadCount(Saved);
+}
+
+/// Bit equality, except that any NaN matches any NaN: IEEE 754 leaves
+/// open which payload an add of two NaNs keeps, and a compiler may
+/// commute the operands of a scalar add.
+bool sameBitsOrBothNaN(double A, double B) {
+  if (std::isnan(A) || std::isnan(B))
+    return std::isnan(A) && std::isnan(B);
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+TEST(KernelTier, StrictAxpyMatchesScalarLoopBitwise) {
+  // The Strict axpy runs SIMD lanes (AVX2, or SSE2 on a generic-arch
+  // build) and a scalar tail. Every element must carry the scalar loop's
+  // multiply-then-add bits at each length around the lane widths, at
+  // unaligned offsets, and on signed zeros, denormals, infinities and
+  // NaN; the padding around the written range must stay untouched.
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Tiny = std::numeric_limits<double>::denorm_min();
+  const double Specials[] = {0.0,  -0.0, Tiny,  -Tiny,  4.9e-310,
+                             Inf,  -Inf, NaN,   1e308,  -1e-300};
+  const int MaxN = 67, Pad = 3;
+  Rng R(311);
+  std::vector<double> X(MaxN + 2 * Pad), Y(MaxN + 2 * Pad), Ref, Got;
+  int Cases = 0, Mismatches = 0;
+  for (int N = 0; N <= MaxN; ++N)
+    for (int XOff = 0; XOff < Pad; ++XOff)
+      for (int YOff = 0; YOff < Pad; ++YOff)
+        for (double Scale : {R.uniform(-2.0, 2.0), 0.0, -0.0, Tiny, 1e300,
+                             -Inf, NaN}) {
+          for (size_t I = 0; I < X.size(); ++I) {
+            bool Special = (I * 7 + static_cast<size_t>(N)) % 5 == 0;
+            X[I] = Special ? Specials[(I + static_cast<size_t>(N)) % 10]
+                           : R.uniform(-4.0, 4.0);
+            Y[I] = (I * 3 + static_cast<size_t>(N)) % 7 == 0
+                       ? Specials[(I * 3) % 10]
+                       : R.uniform(-4.0, 4.0);
+          }
+          Ref = Y;
+          for (int I = 0; I < N; ++I)
+            Ref[static_cast<size_t>(YOff + I)] +=
+                Scale * X[static_cast<size_t>(XOff + I)];
+          Got = Y;
+          linalg::kernelAxpy(Got.data() + YOff, X.data() + XOff, Scale, N,
+                             linalg::Determinism::Strict);
+          ++Cases;
+          for (size_t I = 0; I < Got.size(); ++I)
+            if (!sameBitsOrBothNaN(Got[I], Ref[I])) {
+              if (++Mismatches <= 5)
+                ADD_FAILURE() << "N " << N << ", offsets " << XOff << "/"
+                              << YOff << ", scale " << Scale << ", element "
+                              << I << ": " << Got[I] << " vs " << Ref[I];
+            }
+        }
+  EXPECT_EQ(Mismatches, 0) << "over " << Cases << " cases";
 }
 
 // --- Fast epsilon contract --------------------------------------------------

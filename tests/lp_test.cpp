@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 
@@ -638,16 +639,16 @@ std::vector<KernelCase> kernelCases() {
     Cases.push_back(std::move(C));
   }
   {
-    // Crosses a Bland sweep group (BlandGroupBlocks * PriceGrain =
-    // 1024 columns): 1100 zero-cost padding variables occupy the low
-    // column indices - their reduced cost is exactly 0, never
+    // A wide Bland case: 1100 zero-cost padding variables occupy the
+    // low column indices - their reduced cost is exactly 0, never
     // improving - while the degenerate improving variables (and the
-    // slacks) all sit above index 1100, i.e. in the *second* sweep
-    // group. Every Bland-mode pricing pass therefore scans group one,
-    // finds nothing, and advances across the group boundary; StallLimit
-    // = 1 plus the heavy degeneracy guarantees Bland mode engages.
+    // slacks) all sit above index 1100, so every Bland-mode scan walks
+    // past 17 sweep chunks before its first hit. The padding columns
+    // are empty, so all but the first price as mirrors of it (an empty
+    // column is its own negation). StallLimit = 1 plus the heavy
+    // degeneracy guarantees Bland mode engages.
     KernelCase C;
-    C.Name = "bland-multigroup";
+    C.Name = "bland-wide";
     const int Pad = 1100, N = 10;
     for (int J = 0; J < Pad; ++J)
       C.P.addVariable(0.0, 1.0, 0.0);
@@ -929,6 +930,145 @@ TEST_F(LpKernelIdentityTest, StatsCountersAreCoherent) {
   // terminal verdict.
   EXPECT_GE(Sol.Stats.Refactors, 2);
   EXPECT_GE(Sol.Stats.kernelSeconds(), 0.0);
+}
+
+// --- Pinned Strict bits ------------------------------------------------------
+//
+// Each Strict solve below is pinned to its pivot-sequence hash and to an
+// FNV-1a digest of its X, RowDuals and objective bits. The values were
+// recorded from the solver as it stood before pricing became one
+// row-major A^T y sweep with mirror-column pairing and the Strict axpy
+// went SIMD (commit 72e76ef); those rewrites keep every rounding, so
+// the digests must not move at any thread count or kernel crossover. A
+// solver change that moves pivots on purpose (a new pricing rule, a
+// dual simplex) re-records them and says so. The data come from
+// Rng::uniform only (no libm), so every toolchain sees the same bits.
+
+/// FNV-1a over the bit patterns of X, RowDuals and the objective.
+std::uint64_t solutionDigest(const LpSolution &S) {
+  std::uint64_t H = 0xcbf29ce484222325ULL;
+  auto Mix = [&H](double V) {
+    std::uint64_t Bits;
+    std::memcpy(&Bits, &V, sizeof Bits);
+    H = (H ^ Bits) * 0x100000001b3ULL;
+  };
+  for (double V : S.X)
+    Mix(V);
+  for (double V : S.RowDuals)
+    Mix(V);
+  Mix(S.Objective);
+  return H;
+}
+
+/// A DeltaLp over \p N deltas with \p Rows two-sided rows around a
+/// random witness; \p Infeasible appends a contradictory pair.
+LinearProgram pinnedDeltaLp(Norm Objective, int N, int Rows, uint64_t Seed,
+                            bool Infeasible) {
+  Rng R(Seed);
+  DeltaLp D(N, Objective, /*Bound=*/50.0);
+  std::vector<double> Witness(static_cast<size_t>(N));
+  for (double &Wj : Witness)
+    Wj = R.uniform(-2.0, 2.0);
+  std::vector<double> Coef(static_cast<size_t>(N));
+  for (int I = 0; I < Rows; ++I) {
+    double Activity = 0.0;
+    for (int J = 0; J < N; ++J) {
+      double C = R.uniform(-1.0, 1.0);
+      Coef[static_cast<size_t>(J)] = C;
+      Activity += C * Witness[static_cast<size_t>(J)];
+    }
+    D.addConstraint(Coef, Activity - R.uniform(0.0, 1.0),
+                    Activity + R.uniform(0.0, 1.0));
+  }
+  if (Infeasible) {
+    D.addConstraint(Coef, 1.0, kInfinity);
+    D.addConstraint(Coef, -kInfinity, -1.0);
+  }
+  return D.problem();
+}
+
+/// Columns that pair, nearly pair, and pair only through +0.0 entries:
+/// x1 and x7 mirror x0, x8 duplicates x0, x3 misses mirroring x2 by one
+/// ulp in one row, x4 has no entries and x5 explicit zeros, and x9
+/// mirrors x6 with a row where its two entries cancel to +0.0.
+LinearProgram mirrorEdgeLp(uint64_t Seed) {
+  Rng R(Seed);
+  const int Rows = 12, Vars = 10;
+  LinearProgram P;
+  for (int J = 0; J < Vars; ++J)
+    P.addVariable(-5.0, 5.0, R.uniform(-1.0, 1.0));
+  for (int I = 0; I < Rows; ++I) {
+    double A = R.uniform(-1.0, 1.0), B = R.uniform(-1.0, 1.0);
+    double C = I == 3 ? 0.0 : R.uniform(-1.0, 1.0);
+    double NearB = I == 5 ? -(B * (1.0 + 0x1p-52)) : -B;
+    std::vector<int> Index = {0, 1, 2, 3, 5, 6, 7, 8};
+    std::vector<double> Value = {A, -A, B, NearB, 0.0, C, -A, A};
+    if (I == 3) {
+      double D = R.uniform(0.5, 1.0);
+      Index.insert(Index.end(), {9, 9});
+      Value.insert(Value.end(), {D, -D});
+    } else {
+      Index.push_back(9);
+      Value.push_back(-C);
+    }
+    double Slack = R.uniform(0.5, 1.5);
+    P.addRow(std::move(Index), std::move(Value), -Slack, Slack);
+  }
+  return P;
+}
+
+struct PinnedCase {
+  const char *Name;
+  LinearProgram P;
+  SolveStatus Expected;
+  std::uint64_t PivotHash;
+  std::uint64_t Digest;
+};
+
+std::vector<PinnedCase> pinnedCases() {
+  std::vector<PinnedCase> Cases;
+  Cases.push_back({"l1", pinnedDeltaLp(Norm::L1, 30, 40, 4001, false),
+                   SolveStatus::Optimal, 0x6d96e7566b157316ULL,
+                   0xb49d9ac6f06fe9caULL});
+  Cases.push_back({"l1-wide", pinnedDeltaLp(Norm::L1, 60, 200, 4002, false),
+                   SolveStatus::Optimal, 0x61cadfee351a83f9ULL,
+                   0xbbc1817cb074264dULL});
+  Cases.push_back({"l1+linf",
+                   pinnedDeltaLp(Norm::L1PlusLInf, 40, 60, 4003, false),
+                   SolveStatus::Optimal, 0x45cbf4478fb0a4f0ULL,
+                   0x65c65c193170de82ULL});
+  Cases.push_back({"linf", pinnedDeltaLp(Norm::LInf, 30, 40, 4004, false),
+                   SolveStatus::Optimal, 0x52d69a0eb9b17bc3ULL,
+                   0x3a0ae6a28ca57de6ULL});
+  Cases.push_back({"l1-infeasible",
+                   pinnedDeltaLp(Norm::L1, 30, 40, 4005, true),
+                   SolveStatus::Infeasible, 0xbed2831fe949950dULL,
+                   0xaf63bd4c8601b7dfULL});
+  Cases.push_back({"mirror-edges", mirrorEdgeLp(4006), SolveStatus::Optimal,
+                   0x1813da237128461cULL, 0xa539848866f0c88dULL});
+  return Cases;
+}
+
+TEST_F(LpKernelIdentityTest, StrictBitsArePinned) {
+  SimplexOptions Default;
+  for (PinnedCase &Case : pinnedCases()) {
+    for (int Threads : {1, 4}) {
+      for (int MinDim : {0, Default.ParallelMinDim}) {
+        setGlobalThreadCount(Threads);
+        SimplexOptions Opts;
+        Opts.ParallelMinDim = MinDim;
+        LpSolution Sol = solveLp(Case.P, Opts);
+        std::string What = std::string(Case.Name) + " @" +
+                           std::to_string(Threads) + " threads, MinDim " +
+                           std::to_string(MinDim);
+        EXPECT_EQ(Sol.Status, Case.Expected) << What;
+        EXPECT_EQ(Sol.Stats.PivotHash, Case.PivotHash)
+            << What << std::hex << ": PivotHash 0x" << Sol.Stats.PivotHash;
+        EXPECT_EQ(solutionDigest(Sol), Case.Digest)
+            << What << std::hex << ": digest 0x" << solutionDigest(Sol);
+      }
+    }
+  }
 }
 
 } // namespace
