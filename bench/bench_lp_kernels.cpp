@@ -19,14 +19,6 @@
 //
 // Run with --smoke (CI) to drop the M = 1024 size and repeats.
 //
-// --tier strict|fast selects the kernel determinism tier
-// (src/linalg/Kernels.h) for BOTH paths. Under the default Strict the
-// gates above apply unchanged. Under Fast the SIMD dot products may
-// legitimately tip near-tie pivot choices, so the bit gates are
-// replaced by solution-level ones: statuses must match and objectives
-// must agree to 1e-6 relative - the pivot-hash and |dX| == 0 checks
-// are reported but not enforced.
-//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -126,27 +118,15 @@ double ratio(double Num, double Den) { return Den > 0.0 ? Num / Den : 0.0; }
 
 int main(int argc, char **argv) {
   bool Smoke = false;
-  linalg::Determinism Tier = linalg::Determinism::Strict;
-  for (int I = 1; I < argc; ++I) {
+  for (int I = 1; I < argc; ++I)
     Smoke = Smoke || std::strcmp(argv[I], "--smoke") == 0;
-    if (std::strcmp(argv[I], "--tier") == 0 && I + 1 < argc) {
-      ++I;
-      if (std::strcmp(argv[I], "fast") == 0) {
-        Tier = linalg::Determinism::Fast;
-      } else if (std::strcmp(argv[I], "strict") != 0) {
-        std::printf("unknown tier '%s' (expected strict|fast)\n", argv[I]);
-        return 1;
-      }
-    }
-  }
-  const bool Fast = Tier == linalg::Determinism::Fast;
   std::vector<int> Sizes = Smoke ? std::vector<int>{64, 256}
                                  : std::vector<int>{64, 256, 1024};
   const int Repeats = Smoke ? 1 : 3;
 
   int SavedThreads = globalThreadCount();
-  std::printf("=== Parallel simplex kernels vs scalar path%s, %s tier ===\n",
-              Smoke ? " (smoke)" : "", linalg::toString(Tier));
+  std::printf("=== Parallel simplex kernels vs scalar path%s ===\n",
+              Smoke ? " (smoke)" : "");
   std::printf("hardware concurrency: %u; initial pool threads: %d\n\n",
               std::thread::hardware_concurrency(), SavedThreads);
 
@@ -164,7 +144,6 @@ int main(int argc, char **argv) {
     // Scalar reference: kernel path fixed to the scalar loops.
     SimplexOptions ScalarOpts;
     ScalarOpts.ParallelKernels = false;
-    ScalarOpts.Determinism = Tier;
     setGlobalThreadCount(1);
     Measured Scalar = solveTimed(P, ScalarOpts, Repeats);
     if (Scalar.Sol.Status != SolveStatus::Optimal) {
@@ -178,7 +157,6 @@ int main(int argc, char **argv) {
     SimplexOptions ParOpts;
     ParOpts.ParallelKernels = true;
     ParOpts.ParallelMinDim = 1; // measure the kernels at every size
-    ParOpts.Determinism = Tier;
     for (int Threads : {1, 4, 8}) {
       setGlobalThreadCount(Threads);
       Measured Par = solveTimed(P, ParOpts, Repeats);
@@ -192,20 +170,8 @@ int main(int argc, char **argv) {
           Par.Sol.Stats.PivotHash == Scalar.Sol.Stats.PivotHash &&
           Par.Sol.Iterations == Scalar.Sol.Iterations &&
           Par.Sol.Stats.Refactors == Scalar.Sol.Stats.Refactors;
-      if (Fast) {
-        // Fast simplex may pivot differently near ties: enforce the
-        // solution, not the path - same status, same objective to
-        // 1e-6 relative. Diff/SamePivots stay in the JSON as data.
-        double ObjTol =
-            1e-6 * std::max(1.0, std::fabs(Scalar.Sol.Objective));
-        DivergenceOk = DivergenceOk &&
-                       Par.Sol.Status == Scalar.Sol.Status &&
-                       std::fabs(Par.Sol.Objective - Scalar.Sol.Objective) <=
-                           ObjTol;
-      } else {
-        DivergenceOk = DivergenceOk && Diff == 0.0;
-        PivotsOk = PivotsOk && SamePivots;
-      }
+      DivergenceOk = DivergenceOk && Diff == 0.0;
+      PivotsOk = PivotsOk && SamePivots;
 
       const SimplexStats &Ss = Scalar.Sol.Stats;
       const SimplexStats &Ps = Par.Sol.Stats;
@@ -216,7 +182,6 @@ int main(int argc, char **argv) {
       Json.add("vars", P.numVariables());
       Json.add("threads", Threads);
       Json.add("smoke", Smoke ? 1 : 0);
-      Json.add("tier", linalg::toString(Tier));
       Json.add("scalar_seconds", Scalar.Seconds);
       Json.add("parallel_seconds", Par.Seconds);
       Json.add("end_to_end_speedup", Speedup);
@@ -267,12 +232,8 @@ int main(int argc, char **argv) {
     std::printf("\nwrote %s\n", JsonFile.c_str());
 
   bool Ok = DivergenceOk && PivotsOk;
-  std::printf("%s\n",
-              !Ok ? "bench_lp_kernels: DETERMINISM CHECK FAILED"
-              : Fast
-                  ? "bench_lp_kernels: fast-tier solutions match the "
-                    "scalar path (status + objective) at 1/4/8 threads"
-                  : "bench_lp_kernels: parallel kernels bit-identical "
-                    "to the scalar path at 1/4/8 threads");
+  std::printf("%s\n", Ok ? "bench_lp_kernels: parallel kernels bit-identical "
+                           "to the scalar path at 1/4/8 threads"
+                         : "bench_lp_kernels: DETERMINISM CHECK FAILED");
   return Ok ? 0 : 1;
 }

@@ -45,6 +45,7 @@
 
 #include "lp/Simplex.h"
 
+#include "linalg/Kernels.h"
 #include "support/Error.h"
 #include "support/Parallel.h"
 #include "support/Timer.h"
@@ -663,11 +664,9 @@ bool Worker::refactor() {
       // match the fused loop; splitting B/Inv into two sweeps only
       // reorders independent elementwise updates.
       linalg::kernelAxpy(B.data() + static_cast<size_t>(I) * M,
-                         B.data() + static_cast<size_t>(K) * M, -Factor, M,
-                         Opt.Determinism);
+                         B.data() + static_cast<size_t>(K) * M, -Factor, M);
       linalg::kernelAxpy(Inv.data() + static_cast<size_t>(I) * M,
-                         Inv.data() + static_cast<size_t>(K) * M, -Factor, M,
-                         Opt.Determinism);
+                         Inv.data() + static_cast<size_t>(K) * M, -Factor, M);
     };
     if (Par)
       parallelFor(0, M,
@@ -691,8 +690,7 @@ void Worker::recomputeBasicValues() {
       continue;
     if (J < NS) {
       gatherColumn(J);
-      linalg::kernelAxpy(Rhs.data(), ColBuf.data(), -X[J], M,
-                         Opt.Determinism);
+      linalg::kernelAxpy(Rhs.data(), ColBuf.data(), -X[J], M);
     } else {
       Rhs[J - NS] += X[J];
     }
@@ -721,27 +719,25 @@ void Worker::rowDots(int Begin, int End, const double *V,
   // independent chains side by side run at throughput, and each is
   // still the sequential ascending sum kernelDot computes.
   int R = Begin;
-  if (Opt.Determinism == linalg::Determinism::Strict) {
-    for (; R + 4 <= End; R += 4) {
-      const double *B0 = Binv.data() + static_cast<size_t>(R) * M;
-      const double *B1 = B0 + M, *B2 = B1 + M, *B3 = B2 + M;
-      double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
-      for (int K = 0; K < M; ++K) {
-        double Vk = V[K];
-        S0 += B0[K] * Vk;
-        S1 += B1[K] * Vk;
-        S2 += B2[K] * Vk;
-        S3 += B3[K] * Vk;
-      }
-      Store(R, S0);
-      Store(R + 1, S1);
-      Store(R + 2, S2);
-      Store(R + 3, S3);
+  for (; R + 4 <= End; R += 4) {
+    const double *B0 = Binv.data() + static_cast<size_t>(R) * M;
+    const double *B1 = B0 + M, *B2 = B1 + M, *B3 = B2 + M;
+    double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
+    for (int K = 0; K < M; ++K) {
+      double Vk = V[K];
+      S0 += B0[K] * Vk;
+      S1 += B1[K] * Vk;
+      S2 += B2[K] * Vk;
+      S3 += B3[K] * Vk;
     }
+    Store(R, S0);
+    Store(R + 1, S1);
+    Store(R + 2, S2);
+    Store(R + 3, S3);
   }
   for (; R < End; ++R)
     Store(R, linalg::kernelDot(Binv.data() + static_cast<size_t>(R) * M, V,
-                               M, Opt.Determinism));
+                               M));
 }
 
 double Worker::infeasibility() const {
@@ -804,7 +800,7 @@ void Worker::computeDuals() {
       if (C == 0.0)
         continue;
       linalg::kernelAxpy(Y.data(), Binv.data() + static_cast<size_t>(R) * M,
-                         C, M, Opt.Determinism);
+                         C, M);
     }
     return;
   }
@@ -816,7 +812,7 @@ void Worker::computeDuals() {
         continue;
       const double *Row = Binv.data() + static_cast<size_t>(R) * M;
       linalg::kernelAxpy(Y.data() + Begin, Row + Begin, C,
-                         static_cast<int>(End - Begin), Opt.Determinism);
+                         static_cast<int>(End - Begin));
     }
   });
 }
@@ -836,7 +832,7 @@ void Worker::sweepDuals() {
       if (Y[I] != 0.0 || !AFinite)
         linalg::kernelAxpy(Out,
                            RowA.data() + static_cast<size_t>(I) * NB + Begin,
-                           Y[I], N, Opt.Determinism);
+                           Y[I], N);
   };
   if (Par)
     parallelForRanges(0, NB, Sweep, PriceGrain);
@@ -1054,7 +1050,7 @@ void Worker::updateBinv(int PivotRow) {
     if (Factor == 0.0)
       return;
     linalg::kernelAxpy(Binv.data() + static_cast<size_t>(R) * M, PivRow,
-                       -Factor, M, Opt.Determinism);
+                       -Factor, M);
   };
   if (Par)
     parallelFor(0, M, [&](std::int64_t R) { UpdateRow(static_cast<int>(R)); });

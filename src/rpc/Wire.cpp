@@ -87,6 +87,16 @@ bool readEnum8(ByteReader &R, std::uint8_t &V, std::uint8_t MaxValue) {
   return true;
 }
 
+/// The retired kernel-tier bytes (in RepairOptions, its SimplexOptions,
+/// RepairStats and SweepAttempt) keep their slots, so frames stay
+/// byte-compatible. Writers emit 0, the old Strict (or RepairOptions'
+/// "unset") value; a reader accepts only the old Strict encodings, up to
+/// \p MaxStrict, so a peer asking for the removed Fast tier gets Corrupt.
+bool readStrictTier(ByteReader &R, std::uint8_t MaxStrict) {
+  std::uint8_t Tier = 0;
+  return readEnum8(R, Tier, MaxStrict);
+}
+
 void writeDoubleSeq(ByteWriter &W, const std::vector<double> &Values) {
   W.u64(Values.size());
   W.doubles(Values.data(), Values.size());
@@ -215,12 +225,7 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
   W.u8(O.BatchedJacobians ? 1 : 0);
   W.u8(O.UseCache ? 1 : 0);
   W.u8(O.WarmStartBasis ? 1 : 0);
-  // Optional determinism tier: 0 = unset (server default applies),
-  // else 1 + the linalg::Determinism value (1 = Strict, 2 = Fast).
-  W.u8(O.Determinism
-           ? static_cast<std::uint8_t>(
-                 static_cast<std::uint8_t>(*O.Determinism) + 1)
-           : 0);
+  W.u8(0); // retired tier byte: unset (1 = Strict also reads)
   // SimplexOptions, minus its two non-owning pointers (CancelFlag,
   // WarmBasis): those are process-local wiring the server re-installs.
   W.f64(O.Lp.FeasTol);
@@ -233,7 +238,7 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
   W.u8(O.Lp.ParallelKernels ? 1 : 0);
   W.i32(O.Lp.ParallelMinDim);
   W.u8(O.Lp.ExportBasis ? 1 : 0);
-  W.u8(static_cast<std::uint8_t>(O.Lp.Determinism));
+  W.u8(0); // retired tier byte: Strict
 }
 
 bool readRepairOptions(ByteReader &R, RepairOptions &O) {
@@ -275,12 +280,8 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
   if (!readEnum8(R, Flag, 1))
     return false;
   O.WarmStartBasis = Flag != 0;
-  if (!readEnum8(R, Flag, 2))
+  if (!readStrictTier(R, 1))
     return false;
-  if (Flag == 0)
-    O.Determinism.reset();
-  else
-    O.Determinism = static_cast<linalg::Determinism>(Flag - 1);
   if (!R.f64(O.Lp.FeasTol) || !R.f64(O.Lp.OptTol) || !R.f64(O.Lp.PivotTol))
     return false;
   if (!R.i32(O.Lp.MaxIterations))
@@ -298,9 +299,8 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
   if (!readEnum8(R, Flag, 1))
     return false;
   O.Lp.ExportBasis = Flag != 0;
-  if (!readEnum8(R, Flag, 1))
+  if (!readStrictTier(R, 0))
     return false;
-  O.Lp.Determinism = static_cast<linalg::Determinism>(Flag);
   O.Lp.CancelFlag = nullptr;
   O.Lp.WarmBasis = nullptr;
   return true;
@@ -361,7 +361,7 @@ void writeRepairStats(ByteWriter &W, const RepairStats &S) {
   W.i32(S.LinRegionsStoreHits);
   W.i32(S.PatternStoreHits);
   W.i32(S.BasisStoreHits);
-  W.u8(static_cast<std::uint8_t>(S.Determinism));
+  W.u8(0); // retired tier byte: Strict
 }
 
 bool readRepairStats(ByteReader &R, RepairStats &S) {
@@ -381,11 +381,7 @@ bool readRepairStats(ByteReader &R, RepairStats &S) {
       !R.i32(S.JacobianStoreHits) || !R.i32(S.LinRegionsStoreHits) ||
       !R.i32(S.PatternStoreHits) || !R.i32(S.BasisStoreHits))
     return false;
-  std::uint8_t Tier = 0;
-  if (!readEnum8(R, Tier, 1))
-    return false;
-  S.Determinism = static_cast<linalg::Determinism>(Tier);
-  return true;
+  return readStrictTier(R, 0);
 }
 
 void writeRepairResult(ByteWriter &W, const RepairResult &Result) {
@@ -455,11 +451,11 @@ void writeSweepAttempt(ByteWriter &W, const SweepAttempt &A) {
   W.i32(A.StoreHits);
   W.u8(A.WarmStarted ? 1 : 0);
   W.i32(A.ShardId);
-  W.u8(static_cast<std::uint8_t>(A.Determinism));
+  W.u8(0); // retired tier byte: Strict
 }
 
 bool readSweepAttempt(ByteReader &R, SweepAttempt &A) {
-  std::uint8_t Status = 0, Warm = 0, Tier = 0;
+  std::uint8_t Status = 0, Warm = 0;
   if (!R.i32(A.LayerIndex) || !readEnum8(R, Status, 3))
     return false;
   A.Status = static_cast<RepairStatus>(Status);
@@ -468,11 +464,9 @@ bool readSweepAttempt(ByteReader &R, SweepAttempt &A) {
       !R.f64(A.LinRegionsSeconds) || !R.i32(A.LpIterations) ||
       !R.i32(A.LpRefactors) || !R.i32(A.CacheHits) ||
       !R.i32(A.CacheMisses) || !R.i32(A.StoreHits) ||
-      !readEnum8(R, Warm, 1) || !R.i32(A.ShardId) ||
-      !readEnum8(R, Tier, 1))
+      !readEnum8(R, Warm, 1) || !R.i32(A.ShardId) || !readStrictTier(R, 0))
     return false;
   A.WarmStarted = Warm != 0;
-  A.Determinism = static_cast<linalg::Determinism>(Tier);
   return true;
 }
 

@@ -7,8 +7,10 @@
 // under 8 concurrent engine jobs on the same key; and the determinism
 // contract - cache-on cold, cache-on warm, and cache-off runs produce
 // bit-for-bit identical Delta/RepairResult at any thread count, for
-// point and polytope requests alike. Runs under the CI ThreadSanitizer
-// job next to parallel_test and engine_test.
+// point and polytope requests alike. A pinned list of store entry
+// names shows that artifact addresses do not drift between builds, so a
+// warm on-disk store survives an upgrade. Runs under the CI
+// ThreadSanitizer job next to parallel_test and engine_test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,9 +27,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -558,6 +563,57 @@ TEST(EngineCache, ProgressSnapshotSurfacesCacheCounters) {
   EXPECT_EQ(Snapshot.Phase, RepairPhase::Done);
   EXPECT_GT(Snapshot.CacheHits, 0);
   EXPECT_EQ(Snapshot.CacheMisses, 0);
+}
+
+TEST(EngineCache, StoreEntryNamesArePinned) {
+  // The content address of every artifact one small cached point
+  // repair and one polytope repair store, as `<kind>-<hex>.art`. A
+  // change to any key's hashing (the fingerprint, the spec digest, an
+  // option folded into a key) orphans every warm store on disk and
+  // fails here.
+  namespace fs = std::filesystem;
+  const fs::path Dir =
+      fs::temp_directory_path() /
+      ("prdnn-store-pin-" +
+       std::to_string(
+           std::chrono::steady_clock::now().time_since_epoch().count()));
+  Rng R(4411);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  PointSpec Spec = makeFlipSpec(*Net, R, 12);
+  {
+    EngineOptions Options;
+    Options.StoreDirectory = Dir.string();
+    RepairEngine Engine(Options);
+    RepairReport Report = Engine.run(RepairRequest::points(Net, 2, Spec));
+    ASSERT_EQ(Report.Status, RepairStatus::Success);
+    Network Figure3 = makeFigure3Network();
+    PolytopeSpec Lines;
+    Lines.push_back(SpecPolytope{SegmentPolytope{Vector{0.5}, Vector{1.5}},
+                                 boxConstraint(Vector{-0.8}, Vector{-0.4})});
+    RepairOptions LineOptions;
+    LineOptions.RowMargin = 0.0;
+    RepairReport LineReport = Engine.run(RepairRequest::polytopes(
+        RepairRequest::borrow(Figure3), 0, Lines, LineOptions));
+    ASSERT_EQ(LineReport.Status, RepairStatus::Success);
+    Engine.flushStore();
+  }
+  std::vector<std::string> Names;
+  for (const auto &Entry : fs::recursive_directory_iterator(Dir))
+    if (Entry.is_regular_file() && Entry.path().extension() == ".art")
+      Names.push_back(Entry.path().filename().string());
+  std::sort(Names.begin(), Names.end());
+  std::error_code Ec;
+  fs::remove_all(Dir, Ec);
+
+  const std::vector<std::string> Pinned = {
+      "JacobianRows-11cfe525910b31c565f3bff012950433.art",
+      "JacobianRows-2808ccdff5687e2f6283f8d0d8445c50.art",
+      "PatternBatch-ca4b4ee4cba279b3faa3cb9c632315b3.art",
+      "SimplexBasis-a56c7f7591f3e90cb1faae384e691b59.art",
+      "SimplexBasis-ec5a4872928c67ebf8c1e77c144a6313.art",
+      "SyrennTransform-71a51a74153bd2075b64af47b1be1b31.art",
+  };
+  EXPECT_EQ(Names, Pinned);
 }
 
 } // namespace

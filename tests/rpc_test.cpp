@@ -9,10 +9,12 @@
 // connection recoverable exactly when the stream stayed in sync; Await
 // deadlines expiring typed with the job unharmed; saturation and
 // connection-limit rejects carrying the same typed vocabulary as
-// admission; a client killed mid-request leaking no admission ticket;
-// and toString() total over every wire-visible enum, so a byte from a
-// foreign peer can never print garbage. Runs under the CI
-// ThreadSanitizer job next to serve_test and engine_test.
+// admission; a request for the retired Fast kernel tier refused as
+// Corrupt on a connection that stays in sync; a client killed
+// mid-request leaking no admission ticket; and toString() total over
+// every wire-visible enum, so a byte from a foreign peer can never
+// print garbage. Runs under the CI ThreadSanitizer job next to
+// serve_test and engine_test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -395,6 +397,89 @@ TEST(RpcWire, MalformedPayloadsFailTypedNeverCrash) {
   serve::ServeRequest Back;
   EXPECT_FALSE(readServeRequest(HugeReader, Back));
   EXPECT_EQ(HugeReader.error(), CodecError::Corrupt);
+}
+
+// The four bytes of the retired Fast kernel tier keep their slots
+// (src/rpc/README.md). Offsets count back from the end of a payload: in
+// a ServeRequest, 44 bytes of simplex options follow the options' tier
+// byte, whose own tier byte is the last; in a report with one sweep
+// attempt, the attempt's tier byte is followed by five 8-byte fields,
+// and the stats' tier byte ends the RepairResult, before the u32 sweep
+// count and the 79-byte attempt.
+constexpr std::size_t kOptionsTierFromEnd = 45;
+constexpr std::size_t kLpTierFromEnd = 1;
+constexpr std::size_t kAttemptTierFromEnd = 41;
+constexpr std::size_t kStatsTierFromEnd = 41 + 79 + 4;
+
+/// Decodes \p Bytes with the byte \p FromEnd places before the end set
+/// to \p Value; returns the reader's error (None on success).
+template <typename T, typename ReadFn>
+CodecError decodePatched(std::vector<std::uint8_t> Bytes,
+                         std::size_t FromEnd, std::uint8_t Value,
+                         ReadFn Read) {
+  Bytes[Bytes.size() - FromEnd] = Value;
+  ByteReader Reader(Bytes.data(), Bytes.size());
+  T Back;
+  Read(Reader, Back);
+  return Reader.error();
+}
+
+TEST(RpcWire, RetiredFastTierBytesDecodeCorrupt) {
+  Rng R(8208);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  Rng SpecR(8209);
+  serve::ServeRequest Request =
+      makeRichRequest(fingerprintNetwork(*Net), *Net, SpecR);
+  ByteWriter RequestW;
+  writeServeRequest(RequestW, Request);
+  const std::vector<std::uint8_t> &Req = RequestW.buffer();
+  auto ReadRequest = [](ByteReader &Reader, serve::ServeRequest &Back) {
+    return readServeRequest(Reader, Back);
+  };
+  // Writers emit the old "unset" and Strict values...
+  ASSERT_EQ(Req[Req.size() - kOptionsTierFromEnd], 0);
+  ASSERT_EQ(Req[Req.size() - kLpTierFromEnd], 0);
+  // ...an older peer's explicit Strict (1) still decodes, and re-encodes
+  // as unset...
+  {
+    std::vector<std::uint8_t> Strict = Req;
+    Strict[Strict.size() - kOptionsTierFromEnd] = 1;
+    ByteReader Reader(Strict.data(), Strict.size());
+    serve::ServeRequest Back;
+    ASSERT_TRUE(readServeRequest(Reader, Back)) << toString(Reader.error());
+    ByteWriter Again;
+    writeServeRequest(Again, Back);
+    EXPECT_EQ(Again.buffer(), Req);
+  }
+  // ...and a request for Fast fails Corrupt in either slot.
+  EXPECT_EQ(decodePatched<serve::ServeRequest>(Req, kOptionsTierFromEnd, 2,
+                                               ReadRequest),
+            CodecError::Corrupt);
+  EXPECT_EQ(decodePatched<serve::ServeRequest>(Req, kLpTierFromEnd, 1,
+                                               ReadRequest),
+            CodecError::Corrupt);
+
+  // A report stamped Fast by an older server fails Corrupt too.
+  EngineOptions Options;
+  Options.EnableCache = false;
+  RepairEngine Engine(Options);
+  RepairReport Report = Engine.run(
+      RepairRequest::points(Net, 2, makeFlipSpec(*Net, SpecR, 4)));
+  ASSERT_EQ(Report.Sweep.size(), 1u);
+  ByteWriter ReportW;
+  writeRepairReport(ReportW, Report);
+  const std::vector<std::uint8_t> &Rep = ReportW.buffer();
+  auto ReadReport = [](ByteReader &Reader, RepairReport &Back) {
+    return readRepairReport(Reader, Back);
+  };
+  for (std::size_t FromEnd : {kStatsTierFromEnd, kAttemptTierFromEnd}) {
+    ASSERT_EQ(Rep[Rep.size() - FromEnd], 0) << FromEnd;
+    EXPECT_EQ(decodePatched<RepairReport>(Rep, FromEnd, 0, ReadReport),
+              CodecError::None);
+    EXPECT_EQ(decodePatched<RepairReport>(Rep, FromEnd, 1, ReadReport),
+              CodecError::Corrupt)
+        << FromEnd;
+  }
 }
 
 // --- toString totality ------------------------------------------------------
@@ -849,6 +934,44 @@ TEST(RpcEndToEnd, MalformedFramesAreTypedAndConnectionsRecoverInSync) {
     ASSERT_TRUE(Conn.connectTo(Server.port()));
     ExpectStatusWorks(Conn);
   }
+  Server.stop();
+}
+
+TEST(RpcEndToEnd, FastTierRequestIsCorruptAndConnectionStaysInSync) {
+  ServiceFixture Fx("rpc-fast-tier");
+  RpcServer Server(Fx.Service, RpcServerOptions{});
+  ASSERT_TRUE(Server.start());
+
+  serve::ServeRequest Request;
+  Request.Model = Fx.Fp;
+  Rng SpecR(8301);
+  Request.Spec = makeFlipSpec(Fx.Classifier, SpecR, 4);
+  Request.LayerIndex = 2;
+  ByteWriter W;
+  writeServeRequest(W, Request);
+  std::vector<std::uint8_t> Payload = W.buffer();
+  ASSERT_EQ(Payload[Payload.size() - kOptionsTierFromEnd], 0);
+  Payload[Payload.size() - kOptionsTierFromEnd] = 2; // the old Fast value
+
+  RawConn Conn;
+  ASSERT_TRUE(Conn.connectTo(Server.port()));
+  ASSERT_TRUE(Conn.sendBytes(persist::frame(
+      static_cast<std::uint8_t>(MessageKind::Submit), Payload)));
+  std::uint8_t Kind = 0;
+  std::vector<std::uint8_t> Reply;
+  ASSERT_EQ(Conn.recvReply(Kind, Reply), RpcError::None);
+  ASSERT_EQ(static_cast<MessageKind>(Kind), MessageKind::ErrorReply);
+  EXPECT_EQ(decodeErrorReply(Reply), RpcError::Corrupt);
+
+  // The same socket still serves, and nothing was admitted.
+  ASSERT_TRUE(Conn.sendBytes(
+      persist::frame(static_cast<std::uint8_t>(MessageKind::Status), {})));
+  ASSERT_EQ(Conn.recvReply(Kind, Reply), RpcError::None);
+  ASSERT_EQ(static_cast<MessageKind>(Kind), MessageKind::StatusReply);
+  ByteReader R(Reply.data(), Reply.size());
+  serve::ServiceStats Stats;
+  ASSERT_TRUE(readServiceStats(R, Stats));
+  EXPECT_EQ(Stats.Accepted, 0u);
   Server.stop();
 }
 
